@@ -4,8 +4,12 @@ A local-arc family is a collection of pairwise disjoint point sets such
 that the union of any two sets is an arc (no three points on a common
 line).  Verification comes in four flavours:
 
-* verify_local_arc        -- one pass over all point pairs with a line
-                             ownership index; exact.
+* verify_local_arc        -- exact.  A family built as all translates of
+                             a base (LocalArcFamily.translates, which keeps
+                             the TranslationLayout) is decided from the base
+                             and the difference set T - T; any other family
+                             gets one pass over all point pairs with a line
+                             ownership index.
 * verify_local_arc_oracle -- literal restatement of the definition,
                              quadratic in the number of sets; guarded by a
                              size limit so it stays a cross-check tool.
@@ -22,6 +26,7 @@ uniformity say so.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -36,6 +41,7 @@ __all__ = [
     "NotVerified",
     "Violation",
     "VerifyReport",
+    "TranslationLayout",
     "KArc",
     "LocalArcFamily",
     "is_arc",
@@ -173,6 +179,58 @@ class KArc:
         return f"KArc(k={self.k}, {[self.plane.point_str(p) for p in self.points]})"
 
 
+@dataclass(frozen=True)
+class TranslationLayout:
+    """A planar family listed as every translate of a base in AG(2, q).
+
+    Set (iu * len(vs) + iv) * len(base) + si of the family is base[si]
+    moved by (us[iu], vs[iv]): translation-major, u before v.  ``base``
+    holds affine (x, y) coordinates as field encodings of the family's
+    plane; ``us`` and ``vs`` are field encodings too, either may be a
+    lazy sequence, and an offset listed twice lists every set twice.
+    """
+
+    base: tuple[tuple[tuple[int, int], ...], ...]
+    us: Sequence[int]
+    vs: Sequence[int]
+
+    def __len__(self) -> int:
+        return len(self.base) * len(self.us) * len(self.vs)
+
+    def index(self, si: int, iu: int, iv: int) -> int:
+        return (iu * len(self.vs) + iv) * len(self.base) + si
+
+    def translate(self, i: int, add, q: int) -> tuple[int, ...]:
+        """Set i as sorted point ids; the inverse of index()."""
+        ti, si = divmod(i, len(self.base))
+        iu, iv = divmod(ti, len(self.vs))
+        u, v = self.us[iu], self.vs[iv]
+        return tuple(sorted(add(x, u) * q + add(y, v)
+                            for x, y in self.base[si]))
+
+
+class _Translates:
+    """Lazy read-only sequence of the sets a TranslationLayout lists."""
+
+    __slots__ = ("layout", "add", "q", "n")
+
+    def __init__(self, plane: Plane, layout: TranslationLayout):
+        self.layout = layout
+        self.add = plane.field.add
+        self.q = plane.q
+        self.n = len(layout)
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i: int):
+        if i < 0:
+            i += self.n
+        if not 0 <= i < self.n:
+            raise IndexError(i)
+        return self.layout.translate(i, self.add, self.q)
+
+
 class LocalArcFamily:
     """A collection of point sets over one plane.
 
@@ -180,7 +238,10 @@ class LocalArcFamily:
     one; only list/tuple inputs are normalised up front.  ``k`` is the
     common set size, or 0 for mixed sizes.  ``provenance`` is a free-form
     note on how the family was built, carried through transformations and
-    serialisation.
+    serialisation.  ``translation`` is the TranslationLayout of a family
+    made by LocalArcFamily.translates, which derives the sets from it, and
+    None otherwise; it lets verify_local_arc decide the family without a
+    pair sweep.
     """
 
     def __init__(self, plane: Plane, sets: Sequence, k: int | None = None,
@@ -197,10 +258,34 @@ class LocalArcFamily:
         self.n_sets = len(sets)
         self.k = k
         self.provenance = provenance
+        self.translation: TranslationLayout | None = None
         if validate:
             report = verify_local_arc(self)
             if not report.ok:
                 raise ValueError(report.violation.describe(plane))
+
+    @classmethod
+    def translates(cls, plane: Plane, layout: TranslationLayout,
+                   k: int | None = None, provenance: str = "",
+                   lazy: bool = False) -> LocalArcFamily:
+        """Every translate of layout.base, in the layout's order.
+
+        The sets are materialised unless ``lazy``; either way they are
+        computed from the layout, which the family keeps.
+        """
+        if plane.kind != "planar":
+            raise ValueError("a translation layout needs the planar "
+                             "presentation")
+        if not all(0 <= c < plane.q
+                   for s in layout.base for pt in s for c in pt):
+            raise ValueError("layout base coordinates must be field "
+                             "encodings")
+        sets = _Translates(plane, layout)
+        if not lazy:
+            sets = tuple(sets[i] for i in range(len(sets)))
+        fam = cls(plane, sets, k=k, provenance=provenance)
+        fam.translation = layout
+        return fam
 
     @property
     def total_points(self) -> int:
@@ -258,6 +343,18 @@ def _collinear_witness(family, flat, ln) -> Violation:
 
 
 def verify_local_arc(family: LocalArcFamily) -> VerifyReport:
+    """Exact check: by translation or by a sweep over point pairs.
+
+    A family with a TranslationLayout is checked from its base and
+    T - T (mode "translation"); every other family is swept (mode
+    "fast").
+    """
+    if family.translation is not None:
+        return _verify_translates(family)
+    return _verify_sweep(family)
+
+
+def _verify_sweep(family: LocalArcFamily) -> VerifyReport:
     """Exact check in one sweep over point pairs.
 
     Every pair of family points is joined and the line recorded with an
@@ -293,6 +390,138 @@ def verify_local_arc(family: LocalArcFamily) -> VerifyReport:
                 )
         done += n - 1 - ia
     return VerifyReport(True, "fast", n * (n - 1) // 2)
+
+
+def _differences(sub, offsets):
+    """Each difference w - u of two offsets -> the first index pair
+    (of u, of w) that gives it, the difference 0 first, as (0, 0); and
+    the index pair a < b of two equal offsets, or None."""
+    offs = list(offsets)
+    out: dict[int, tuple[int, int]] = {}
+    twin = None
+    for a, u in enumerate(offs):
+        for b, w in enumerate(offs):
+            d = sub(w, u)
+            if d not in out:
+                out[d] = (a, b)
+            elif d == 0 and a < b and twin is None:
+                twin = (a, b)
+    return out, twin
+
+
+def _verify_translates(family: LocalArcFamily) -> VerifyReport:
+    """Exact check of a translation family from its base and T - T.
+
+    Translations (x, y) -> (x+u, y+v) are collineations of the planar
+    presentation ([a, b] -> [a+u, b+v], [c] -> [c+u]), so the union of
+    the sets S_i + tau and S_j + tau' is a disjoint arc exactly when
+    S_i and S_j + delta give one, with delta = tau' - tau in
+    D = (U - U) x (V - V).  Checking each base set alone (i = j,
+    delta = 0) and every base pair i <= j at every other delta decides
+    the family; pairs_checked counts these (i, j, delta) checks.  The
+    work is about |U|^2 + |V|^2 + C(b+1, 2)·|U-U|·k^3 set lookups, below
+    the C(n, 2) point pairs of a sweep over the n = b·|U|·|V|·k points.
+
+    Overlaps are looked for first, over all of them, as the sweep does.
+    For arcs S_i and S_j + delta that are disjoint, three collinear
+    points are two of one set on a secant plus a point of the other.
+    For one (i, j, du) the dv that put a point of S_j + delta on a
+    secant [a, b] of S_i, or a point of S_i - delta on a secant of S_j,
+    solve a single equation each, so every dv of V - V is decided by
+    one set lookup.  A rejection names two real sets through the
+    layout, and its witness is taken from those sets.
+    """
+    plane = family.plane
+    f = plane.field
+    add, sub, mul = f.add, f.sub, f.mul
+    q = plane.q
+    layout = family.translation
+    base = layout.base
+    b = len(base)
+    du, twin_u = _differences(sub, layout.us)
+    dv, twin_v = _differences(sub, layout.vs)
+    filled = [si for si, s in enumerate(base) if s]
+    if (twin_u or twin_v) and filled:
+        # an offset listed twice lists every base set twice
+        (iu, ju), (iv, jv) = twin_u or (0, 0), twin_v or (0, 0)
+        named = [layout.index(filled[0], iu, iv),
+                 layout.index(filled[0], ju, jv)]
+        return VerifyReport(False, "translation", 0,
+                            _named_violation(family, named))
+
+    def reject(done, si, sj, d_u, d_v):
+        (iu, ju), (iv, jv) = du[d_u], dv[d_v]
+        named = sorted({layout.index(si, iu, iv), layout.index(sj, ju, jv)})
+        return VerifyReport(False, "translation", done,
+                            _named_violation(family, named))
+
+    secants = []
+    for si, s in enumerate(base):
+        pids = [x * q + y for x, y in s]
+        if len(set(pids)) < len(pids) or not is_arc(plane, pids):
+            return VerifyReport(False, "translation", si + 1,
+                                _named_violation(family, [si]))
+        flat, vertical = [], []
+        for lid in secants_of(plane, pids):
+            if lid < q * q:
+                flat.append(divmod(lid, q))
+            else:
+                vertical.append(lid - q * q)
+        secants.append((flat, vertical))
+
+    for si in range(b):
+        for sj in range(si, b):
+            for xi, yi in base[si]:
+                for xj, yj in base[sj]:
+                    d_u, d_v = sub(xi, xj), sub(yi, yj)
+                    if d_u in du and d_v in dv and (si != sj or d_u or d_v):
+                        return reject(b, si, sj, d_u, d_v)
+
+    dv_keys = list(dv)
+    dv_pos = {d: i for i, d in enumerate(dv_keys)}
+    done = b
+    for si in range(b):
+        flat_i, vert_i = secants[si]
+        for sj in range(si, b):
+            flat_j, vert_j = secants[sj]
+            for d_u in du:
+                bad = set()
+                every = False  # a vertical secant is met whatever dv is
+                for x, y in base[sj]:
+                    x = add(x, d_u)
+                    every = every or x in vert_i
+                    for a, c in flat_i:
+                        e = sub(x, a)
+                        bad.add(add(sub(mul(e, e), y), c))
+                for x, y in base[si]:
+                    x = sub(x, d_u)
+                    every = every or x in vert_j
+                    for a, c in flat_j:
+                        e = sub(x, a)
+                        bad.add(sub(sub(y, c), mul(e, e)))
+                # (i, i, 0) is the single-set check made above
+                skip = si == sj and d_u == 0
+                if skip:
+                    bad.discard(0)
+                hits = [dv_pos[d] for d in bad if d in dv_pos]
+                if every and len(dv_keys) > skip:
+                    hits.append(int(skip))
+                if hits:
+                    first = min(hits)
+                    return reject(done + first + 1 - skip, si, sj, d_u,
+                                  dv_keys[first])
+                done += len(dv_keys) - skip
+    return VerifyReport(True, "translation", done)
+
+
+def _named_violation(family: LocalArcFamily, named: list[int]) -> Violation:
+    """The violation inside the union of the named sets (ascending ids)."""
+    part = LocalArcFamily(family.plane, [family.sets[i] for i in named])
+    bad = _verify_sweep(part).violation
+    if bad is None:
+        raise RuntimeError(f"sets {named} pass the sweep that the "
+                           f"translation verdict rejected")
+    return dataclasses.replace(bad, sets=tuple(named[s] for s in bad.sets))
 
 
 def verify_local_arc_oracle(family: LocalArcFamily, limit: int = 10_000) -> VerifyReport:
@@ -616,11 +845,19 @@ def family_to_dict(family: LocalArcFamily) -> dict:
 
 
 def family_from_dict(data: dict) -> LocalArcFamily:
-    field = make_field(data["p"], data.get("m", 1), data.get("tower", False))
-    if "q" in data and data["q"] != field.q:
-        raise ValueError(f"q = {data['q']} does not match p^m = {field.q}")
-    plane = Plane(field, data.get("presentation", "planar"))
-    sets = [
-        tuple(sorted(plane.parse_point(t) for t in s)) for s in data["sets"]
-    ]
-    return LocalArcFamily(plane, sets, provenance=data.get("provenance", ""))
+    """Inverse of family_to_dict; ValueError on data of any other shape."""
+    try:
+        field = make_field(data["p"], data.get("m", 1),
+                           data.get("tower", False))
+        if "q" in data and data["q"] != field.q:
+            raise ValueError(f"q = {data['q']} does not match p^m = {field.q}")
+        plane = Plane(field, data.get("presentation", "planar"))
+        sets = [
+            tuple(sorted(plane.parse_point(t) for t in s))
+            for s in data["sets"]
+        ]
+        provenance = str(data.get("provenance", ""))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed family ({type(exc).__name__}: {exc})") \
+            from exc
+    return LocalArcFamily(plane, sets, provenance=provenance)

@@ -154,11 +154,15 @@ def _apply_verification(fam: LocalArcFamily, mode: str) -> str:
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError(f"{path} holds a JSON {type(data).__name__}, "
+                         f"not an object")
+    return data
 
 
 def _write_text(path: str, text: str) -> None:

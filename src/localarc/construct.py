@@ -11,10 +11,14 @@ Three layers:
 * the extension liftings that push a family over GF(p) (or GF(p^2)) up
   to GF(p^m) by translating it with carefully shaped polynomial tails.
 
-Every construction re-verifies its output: fully when the family has at
-most _FULL_LIMIT points, otherwise by counter-based sampling at three
-seeds.  Set counts are additionally checked against their closed forms
-exactly, never approximately.
+Every construction re-verifies its output: exactly when the family has
+at most _FULL_LIMIT points, otherwise by counter-based sampling at three
+seeds.  The lifts list every translate of a base set family and attach
+that layout (a TranslationLayout), so their exact check runs on the base
+and the difference set T - T instead of a sweep over all point pairs.
+Set counts are additionally checked against their closed forms exactly,
+never approximately.  These checks raise NotVerified, never rely on
+assert, so they hold under python -O.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 from localarc.arcs import (
     LocalArcFamily,
     NotVerified,
+    TranslationLayout,
     sample_verify,
     secants_of,
     verify_local_arc,
@@ -205,7 +210,8 @@ def generic_k_arc(k: int) -> GenericSeed:
     while not is_prime(r):
         r += 1
     verdict = validate_generic((pts,), (tuple(lines),), r)
-    assert verdict.ok, verdict.failures
+    if not verdict.ok:
+        raise NotVerified(f"generic {k}-arc seed fails: {verdict.failures}")
     return GenericSeed((pts,), (tuple(lines),), r, verdict.r_prime)
 
 
@@ -219,13 +225,29 @@ def seed_to_dict(seed: GenericSeed) -> dict:
 
 
 def seed_from_dict(data: dict) -> GenericSeed:
-    sets = tuple(tuple(tuple(pt) for pt in s) for s in data["sets"])
-    secants = tuple(tuple(tuple(ln) for ln in l) for l in data["secants"])
-    r = data["r"]
-    r_prime = data.get("r_prime")
+    """Inverse of seed_to_dict; ValueError on data of any other shape."""
+    try:
+        sets = tuple(tuple(_int_pair(pt) for pt in s) for s in data["sets"])
+        secants = tuple(
+            tuple(_int_pair(ln) for ln in l) for l in data["secants"]
+        )
+        r = data["r"]
+        r_prime = data.get("r_prime")
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed seed ({type(exc).__name__}: {exc})") \
+            from exc
+    if not isinstance(r, int) or not isinstance(r_prime, (int, type(None))):
+        raise ValueError("malformed seed: r and r_prime must be integers")
     if r_prime is None:
         r_prime = validate_generic(sets, secants, r).r_prime
     return GenericSeed(sets, secants, r, r_prime)
+
+
+def _int_pair(pair) -> tuple[int, int]:
+    x, y = pair
+    if not (isinstance(x, int) and isinstance(y, int)):
+        raise TypeError(f"{pair!r} is not a pair of integers")
+    return x, y
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +280,7 @@ def oval_partition(q: int, k: int) -> LocalArcFamily:
         raise KTooLarge(f"k = {k} exceeds the {len(pts)}-point oval")
     sets = tuple(tuple(pts[i * k:(i + 1) * k]) for i in range(n))
     fam = LocalArcFamily(plane, sets, k=k, provenance=f"oval_partition(q={q},k={k})")
-    assert verify_local_arc(fam).ok
-    return fam
+    return _verified(fam)
 
 
 def conic_partition_seed(p: int, k: int = 2) -> LocalArcFamily:
@@ -277,8 +298,7 @@ def conic_partition_seed(p: int, k: int = 2) -> LocalArcFamily:
         raise KTooLarge(f"k = {k} exceeds the {p}-point affine arc")
     sets = tuple(tuple(sorted(pts[i * k:(i + 1) * k])) for i in range(n))
     fam = LocalArcFamily(plane, sets, k=k, provenance=f"conic_seed(p={p},k={k})")
-    assert verify_local_arc(fam).ok
-    return fam
+    return _verified(fam)
 
 
 def column_pair_seed(p: int) -> LocalArcFamily:
@@ -294,8 +314,7 @@ def column_pair_seed(p: int) -> LocalArcFamily:
         tuple(sorted((0 * p + c, 1 * p + field.add(c, 1)))) for c in range(p)
     )
     fam = LocalArcFamily(plane, sets, k=2, provenance=f"column_pairs(p={p})")
-    assert verify_local_arc(fam).ok
-    return fam
+    return _verified(fam)
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
@@ -321,13 +340,19 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # verification glue
 
+def _verified(fam: LocalArcFamily) -> LocalArcFamily:
+    """fam after an exact check; NotVerified names the violation."""
+    rep = verify_local_arc(fam)
+    if not rep.ok:
+        raise NotVerified(rep.violation.describe(fam.plane))
+    return fam
+
+
 def _accept(fam: LocalArcFamily, check: bool = True) -> LocalArcFamily:
     if not check:
         return fam
     if fam.total_points <= _FULL_LIMIT:
-        rep = verify_local_arc(fam)
-        if not rep.ok:
-            raise NotVerified(rep.violation.describe(fam.plane))
+        _verified(fam)
     else:
         for seed in _SEEDS:
             rep = sample_verify(fam, _SAMPLES, seed=seed)
@@ -341,30 +366,29 @@ def _accept(fam: LocalArcFamily, check: bool = True) -> LocalArcFamily:
 def _translate_family(
     plane: Plane,
     base_coords,
-    taus,
+    us,
+    vs,
     k: int,
     expected: int,
     provenance: str,
     check: bool = True,
 ) -> LocalArcFamily:
-    """All translates of the base sets, one output set per (tau, set).
+    """All translates of the base sets by T = us x vs, one output set per
+    (tau, set).
 
-    taus must already be in canonical order; sets land tau-major so the
-    output order is reproducible.
+    Translations are taken in sorted (u, v) order and sets land
+    tau-major (the TranslationLayout order), so the output order is
+    reproducible; the family keeps the layout for verification.
     """
-    add = plane.field.add
-    q = plane.q
-    sets = []
-    for u, v in taus:
-        for s in base_coords:
-            sets.append(tuple(sorted(add(x, u) * q + add(y, v) for x, y in s)))
-    fam = LocalArcFamily(plane, tuple(sets), k=k, provenance=provenance)
+    layout = TranslationLayout(base_coords, tuple(sorted(us)),
+                               tuple(sorted(vs)))
+    fam = LocalArcFamily.translates(plane, layout, k=k, provenance=provenance)
     if fam.n_sets != expected:
-        raise AssertionError(
+        raise NotVerified(
             f"enumerated {fam.n_sets} sets, closed form says {expected}"
         )
     if len(set(fam.sets)) != fam.n_sets:
-        raise AssertionError("translated sets collide")
+        raise NotVerified("translated sets collide")
     return _accept(fam, check)
 
 
@@ -423,59 +447,56 @@ def plan_lift(r: int, basis: SdfBasis, p: int) -> LiftParams:
         t += 2
     B = m ** (t // 2) - 1
     # the proof's working inequality, equivalent to the t condition
-    assert (r + 1) ** 2 * m**t <= p - r * m**t
+    if (r + 1) ** 2 * m**t > p - r * m**t:
+        raise NotVerified(f"t = {t} breaks (r+1)^2 m^t <= p - r m^t")
     n_tau = (2 * B + 1) * len(basis.A) ** (t // 2) * m ** (t // 2)
     return LiftParams(basis, p, t, B, n_tau)
 
 
-class _LiftedSets:
-    """Lazy sequence of digit-lifted sets over GF(p).
+def _lift_layout(p: int, seed_sets, params: LiftParams) -> TranslationLayout:
+    """The digit lift as translates of the scaled seed over GF(p).
 
-    Index layout is translation-major with translations ordered by
-    (x-offset ascending, y-value ascending), so set order is canonical
-    and the sequence never materializes.
+    Seed point (x, y) scales to (x m^(t/2), y m^t); x-offsets run over
+    [-B, B] and y-offsets over the SDF digit values, both ascending, so
+    set order is canonical.  The offsets are lazy: the family never
+    materializes them.
     """
+    m, A, t, B = params.basis.m, params.basis.A, params.t, params.B
+    mt2 = m ** (t // 2)
+    mt = mt2 * mt2
+    base = tuple(
+        tuple(((x * mt2) % p, (y * mt) % p) for x, y in s) for s in seed_sets
+    )
+    radix = [len(A) if i % 2 == 0 else m for i in range(t)]
+    places = [_prod(radix[:i]) for i in range(t)]
 
-    __slots__ = ("p", "base", "params", "_n_v", "_places")
-
-    def __init__(self, p: int, base, params: LiftParams):
-        self.p = p
-        self.base = base
-        self.params = params
-        m, A, t = params.basis.m, params.basis.A, params.t
-        radix = [len(A) if i % 2 == 0 else m for i in range(t)]
-        self._places = [_prod(radix[:i]) for i in range(t)]
-        self._n_v = _prod(radix)
-
-    def _tau(self, ti: int) -> tuple[int, int]:
-        m, A = self.params.basis.m, self.params.basis.A
-        u_idx, v_idx = divmod(ti, self._n_v)
+    def v_of(iv: int) -> int:
         v = 0
-        for i in range(self.params.t - 1, -1, -1):
-            di, v_idx = divmod(v_idx, self._places[i])
+        for i in range(t - 1, -1, -1):
+            di, iv = divmod(iv, places[i])
             v += (A[di] if i % 2 == 0 else di) * m**i
-        return u_idx - self.params.B, v
+        return v % p
+
+    us = _Offsets(2 * B + 1, lambda iu: (iu - B) % p)
+    return TranslationLayout(base, us, _Offsets(_prod(radix), v_of))
+
+
+class _Offsets:
+    """Lazy read-only sequence whose item i is fn(i)."""
+
+    __slots__ = ("n", "fn")
+
+    def __init__(self, n: int, fn):
+        self.n = n
+        self.fn = fn
 
     def __len__(self):
-        return (2 * self.params.B + 1) * self._n_v * len(self.base)
+        return self.n
 
     def __getitem__(self, i: int):
-        n = len(self)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
+        if not 0 <= i < self.n:
             raise IndexError(i)
-        ti, si = divmod(i, len(self.base))
-        u, v = self._tau(ti)
-        p = self.p
-        mt2 = self.params.basis.m ** (self.params.t // 2)
-        mt = mt2 * mt2
-        return tuple(
-            sorted(
-                ((x * mt2 + u) % p) * p + (y * mt + v) % p
-                for x, y in self.base[si]
-            )
-        )
+        return self.fn(i)
 
 
 def _prod(xs) -> int:
@@ -501,8 +522,9 @@ def lift_prime(
     of each other at distance 1, their lifted copies collide and the
     verification step rejects the family.  Seeds with x-gaps >= 2
     everywhere (generic_k_arc ones) are safe.  Families small enough are
-    materialized and fully verified; larger ones stay lazy and are
-    sample-verified.  A translated slice of the un-reduced integer
+    materialized and verified exactly, by translation; larger ones stay
+    lazy and are sample-verified.  Either way the family carries its
+    translation layout.  A translated slice of the un-reduced integer
     family is re-validated as a spot check.
     """
     verdict = validate_generic(seed.sets, seed.secants, seed.r)
@@ -511,40 +533,45 @@ def lift_prime(
     params = plan_lift(seed.r, basis, p)
     field = make_field(p)
     plane = make_plane(field, "planar")
-    lazy = _LiftedSets(p, seed.sets, params)
+    layout = _lift_layout(p, seed.sets, params)
     expected = len(seed.sets) * params.n_translations
-    assert len(lazy) == expected
+    if len(layout) != expected:
+        raise NotVerified(
+            f"lift lists {len(layout)} sets, closed form says {expected}"
+        )
     provenance = (
         f"lift_prime(r={seed.r},m={basis.m},t={params.t},p={p})"
     )
-    total_points = seed.k * expected
-    if total_points <= _FULL_LIMIT:
-        sets = tuple(lazy[i] for i in range(expected))
-        fam = LocalArcFamily(plane, sets, k=seed.k, provenance=provenance)
-    else:
-        fam = LocalArcFamily(plane, lazy, k=seed.k, provenance=provenance)
-    _remark_spot_check(seed, params, lazy)
+    fam = LocalArcFamily.translates(
+        plane, layout, k=seed.k, provenance=provenance,
+        lazy=seed.k * expected > _FULL_LIMIT,
+    )
+    _remark_spot_check(seed, params, layout)
     return _accept(fam, check)
 
 
-def _remark_spot_check(seed: GenericSeed, params: LiftParams, lazy: _LiftedSets):
+def _remark_spot_check(seed: GenericSeed, params: LiftParams,
+                       layout: TranslationLayout):
     """The integer (un-reduced) lift of a few translations is generic.
 
     Translations may shift x negatively, so the slice is moved right by
-    B, which preserves every (x-a) difference.
+    B, which preserves every (x-a) difference: x-offset index iu is the
+    shift iu - B + B.  The y-offsets are below m^t < p, so unreduced.
     """
-    m, t, B, p = params.basis.m, params.t, params.B, params.p
+    m, t, p = params.basis.m, params.t, params.p
     mt2, mt = m ** (t // 2), m**t
     n_tau = params.n_translations
     picks = sorted({0, n_tau // 2, n_tau - 1})
     z_sets, z_lines = [], []
     for ti in picks:
-        u, v = lazy._tau(ti)
+        iu, iv = divmod(ti, len(layout.vs))
+        v = layout.vs[iv]
         for s, l in zip(seed.sets, seed.secants):
-            z_sets.append(tuple((x * mt2 + u + B, y * mt + v) for x, y in s))
-            z_lines.append(tuple((a * mt2 + u + B, b * mt + v) for a, b in l))
+            z_sets.append(tuple((x * mt2 + iu, y * mt + v) for x, y in s))
+            z_lines.append(tuple((a * mt2 + iu, b * mt + v) for a, b in l))
     verdict = validate_generic(tuple(z_sets), tuple(z_lines), p)
-    assert verdict.ok, f"integer lift lost genericity: {verdict.failures}"
+    if not verdict.ok:
+        raise NotVerified(f"integer lift lost genericity: {verdict.failures}")
 
 
 # ---------------------------------------------------------------------------
@@ -572,10 +599,10 @@ def case1_lift(seed: LocalArcFamily, check: bool = True) -> LocalArcFamily:
     up = make_field(p, 2)
     plane = make_plane(up, "planar")
     alpha = p  # encoding of the polynomial generator x
-    taus = sorted((0, up.mul(g1, alpha)) for g1 in range(p))
+    vs = [up.mul(g1, alpha) for g1 in range(p)]
     note = (seed.provenance + "|" if seed.provenance else "") + f"case1(p={p})"
     return _translate_family(
-        plane, coords, taus, seed.k, seed.n_sets * p, note, check
+        plane, coords, [0], vs, seed.k, seed.n_sets * p, note, check
     )
 
 
@@ -612,10 +639,10 @@ def case2_lift(seed: LocalArcFamily, t: int, check: bool = True) -> LocalArcFami
         (i, range(p2) if i % 2 else alpha_fp) for i in range(1, t)
     ]
     g_vals = _poly_values(tw, powers, g_alphabets)
-    taus = sorted((u, v) for u in f_vals for v in g_vals)
     expected = seed.n_sets * (p ** (5 * (s - 1)) if t % 2 else p ** (5 * s - 3))
     note = (seed.provenance + "|" if seed.provenance else "") + f"case2(p={p},t={t})"
-    return _translate_family(plane, coords, taus, seed.k, expected, note, check)
+    return _translate_family(plane, coords, f_vals, g_vals, seed.k, expected,
+                             note, check)
 
 
 def _poly_values(field: Field, powers, alphabets) -> list[int]:
@@ -664,7 +691,8 @@ def choose_M1_M2(t: int, eps: float = 1e-6) -> tuple[float, float]:
                 fd = obj(d)
         m1 = (a + b) / 2
     m2 = m2_of(m1)
-    assert m1 >= 2 and m2 >= 4 and 4.0 / m2 < 1.0 - 2.0 / m1
+    if not (m1 >= 2 and m2 >= 4 and 4.0 / m2 < 1.0 - 2.0 / m1):
+        raise ValueError(f"(M1, M2) = ({m1}, {m2}) violate the side constraints")
     return m1, m2
 
 
@@ -722,14 +750,14 @@ def case3_lift(
         powers,
         [(i, range(p) if i % 2 else alphabet) for i in range(1, m)],
     )
-    taus = sorted((u, v) for u in f_vals for v in g_vals)
     n_odd = sum(1 for i in range(1, m) if i % 2)
     n_even = m - 1 - n_odd
     expected = seed.n_sets * f_range ** (t - 1) * p**n_odd * len(alphabet) ** n_even
     note = (seed.provenance + "|" if seed.provenance else "") + (
         f"case3(p={p},m={m},M1={M1:g},M2={M2:g},|A|={len(alphabet)})"
     )
-    return _translate_family(plane, coords, taus, seed.k, expected, note, check)
+    return _translate_family(plane, coords, f_vals, g_vals, seed.k, expected,
+                             note, check)
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +781,7 @@ def best_construction(
     def consider(name, builder):
         try:
             fam = builder()
-        except (ValueError, AssertionError) as exc:
+        except ValueError as exc:
             report[name] = f"skipped ({exc})"
             return
         report[name] = fam.n_sets

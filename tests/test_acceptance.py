@@ -256,6 +256,17 @@ def test_criterion_05_paper_scale_sampling(paper_scale):
         assert report.ok, report.violation.describe(fam.plane)
 
 
+def test_criterion_05_paper_scale_exact_verdict(paper_scale):
+    # exact companion of the sampling xfail: the lift carries its
+    # translation layout, so verify_local_arc decides all 3,018,420
+    # listings from T - T and names the deterministic collision
+    p, fam = paper_scale
+    report = verify_local_arc(fam)
+    assert report.mode == "translation" and not report.ok
+    assert report.violation.kind == "overlap"
+    assert report.violation.sets == (2, 1512901)
+
+
 def test_criterion_05_paper_scale_deterministic_collision(paper_scale):
     p, fam = paper_scale
     params = plan_lift(5, BASIS_205, p)

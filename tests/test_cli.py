@@ -53,6 +53,26 @@ def test_verify_missing_file_is_usage_error(capsys):
     assert run(["verify", "--in", "/nonexistent/fam.json"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("text", ['{"p":5}', '[1,2]', '7',
+                                  '{"p":5,"sets":[[1,2]]}',
+                                  '{"r":5,"sets":[[["a","b"]]],"secants":[]}'])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--in"],
+    ["construct", "--method", "case1", "--seed-file"],
+    ["construct", "--method", "lift-prime", "--p", "1031",
+     "--basis", "5,0,2", "--seed-file"],
+])
+def test_malformed_json_is_usage_error(tmp_path, capsys, text, argv):
+    # exit 1 means "rejected"; input that is not a family or seed is a
+    # usage error
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run(argv + [str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ")
+    assert "rejected" not in captured.out
+
+
 def test_bound_row_has_eml_sets_5(capsys):
     assert run(["bound", "--q", "7", "--k", "4"]) == EXIT_OK
     header, row = capsys.readouterr().out.strip().splitlines()

@@ -1,6 +1,13 @@
 """Construction layer: seeds, digit lifting, extension liftings."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import localarc
 
 from localarc.arcs import LocalArcFamily, NotVerified, secants_of, verify_local_arc
 from localarc.construct import (
@@ -194,6 +201,27 @@ def test_lift_prime_rejects_translate_twin_seed():
     assert len(set(fam.materialize())) == 230
     rep = verify_local_arc(fam)
     assert not rep.ok and rep.violation.kind == "overlap"
+
+
+def test_wide_window_lift_rejected_under_python_O():
+    # no construction result rests on assert, which python -O strips
+    code = (
+        "from localarc.arcs import NotVerified\n"
+        "from localarc.construct import GenericSeed, lift_prime\n"
+        "from localarc.sdf import BASIS_5\n"
+        "assert False, 'asserts are live'\n"
+        f"seed = GenericSeed({EX1_SETS!r}, {EX1_LINES!r}, 5, 8)\n"
+        "try:\n"
+        "    lift_prime(seed, BASIS_5, 1031)\n"
+        "except NotVerified as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    src = str(Path(localarc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "rejected: point (1,75) repeats in sets [2, 151]\n"
 
 
 def test_lift_prime_requires_valid_seed():
