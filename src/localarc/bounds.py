@@ -67,7 +67,9 @@ class BoundReport:
 
     def __post_init__(self):
         if self.points is not None and self.sets is not None and self.k:
-            assert self.points == self.k * self.sets
+            if self.points != self.k * self.sets:
+                raise ValueError(f"{self.points} points are not k = {self.k} "
+                                 f"per set over {self.sets} sets")
 
 
 def _require_prime_power(q: int):

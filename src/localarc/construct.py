@@ -468,13 +468,18 @@ def _lift_layout(p: int, seed_sets, params: LiftParams) -> TranslationLayout:
         tuple(((x * mt2) % p, (y * mt) % p) for x, y in s) for s in seed_sets
     )
     radix = [len(A) if i % 2 == 0 else m for i in range(t)]
-    places = [_prod(radix[:i]) for i in range(t)]
+    # from the top digit place down: (place value of iv, digit values * m^i)
+    places = [
+        (_prod(radix[:i]),
+         tuple((A[d] if i % 2 == 0 else d) * m**i for d in range(radix[i])))
+        for i in range(t - 1, -1, -1)
+    ]
 
     def v_of(iv: int) -> int:
         v = 0
-        for i in range(t - 1, -1, -1):
-            di, iv = divmod(iv, places[i])
-            v += (A[di] if i % 2 == 0 else di) * m**i
+        for place, values in places:
+            di, iv = divmod(iv, place)
+            v += values[di]
         return v % p
 
     us = _Offsets(2 * B + 1, lambda iu: (iu - B) % p)

@@ -143,7 +143,7 @@ def _find_modulus(degree, sq, ssub, smul) -> list[int]:
         cand = _decode(code, sq, degree) + [1]
         if _irreducible(cand, sq, ssub, smul):
             return cand
-    raise AssertionError("irreducible polynomial of every degree exists")
+    raise RuntimeError("irreducible polynomial of every degree exists")
 
 
 @dataclass(frozen=True)
@@ -291,7 +291,7 @@ class Field:
         for c in range(2, q):
             if all(powf(c, (q - 1) // f) != 1 for f in factors):
                 return c
-        raise AssertionError("multiplicative group of a finite field is cyclic")
+        raise RuntimeError("multiplicative group of a finite field is cyclic")
 
     def _init_table(self):
         p, q = self.p, self.q
@@ -586,7 +586,8 @@ def tower_isomorphism(p: int, m: int) -> tuple[Callable, Callable]:
         if acc == 0:
             root = cand
             break
-    assert root is not None, "flat modulus splits in any field of the same order"
+    if root is None:
+        raise RuntimeError("flat modulus splits in any field of the same order")
 
     # columns are the base-p digit vectors of root**j
     cols = []

@@ -73,8 +73,10 @@ def _planar_closures(field: Field):
     q2 = q * q
     ILINE = q2 + q
     IPT = q2 + q
-    add, sub, mul, inv = field.add, field.sub, field.mul, field.inv
-    inv2 = inv(2 % field.p)
+    add, sub, mul, inv, neg = (field.add, field.sub, field.mul, field.inv,
+                               field.neg)
+    two = 2 % field.p
+    inv2 = inv(two)
 
     def join(u, v):
         # distinct point ids -> id of the unique common line
@@ -109,7 +111,7 @@ def _planar_closures(field: Field):
             if a0 == a1:
                 return q2 + a0
             num = add(sub(b1, b0), sub(mul(a1, a1), mul(a0, a0)))
-            x = mul(num, inv(mul(2 % field.p, sub(a1, a0))))
+            x = mul(num, inv(mul(two, sub(a1, a0))))
             d = sub(x, a0)
             return x * q + add(b0, mul(d, d))
         if v == ILINE:
@@ -157,7 +159,16 @@ def _planar_closures(field: Field):
             return tuple(z * q + b for b in range(q)) + (ILINE,)
         return tuple(range(q2, q2 + q + 1))
 
-    return join, meet, incident, points_on, lines_through
+    def coords(pid):
+        # (x, y) -> (1 : x : y - x^2), (z) -> (0 : 1 : -2z), (inf) -> (0 : 0 : 1)
+        if pid < q2:
+            x, y = divmod(pid, q)
+            return 1, x, sub(y, mul(x, x))
+        if pid < IPT:
+            return 0, 1, neg(mul(two, pid - q2))
+        return 0, 0, 1
+
+    return join, meet, incident, points_on, lines_through, coords
 
 
 def _homog_closures(field: Field):
@@ -213,11 +224,17 @@ def _homog_closures(field: Field):
             return tuple(u * q + v for v in range(q)) + (LAST,)
         return tuple(range(q2, q2 + q + 1))
 
-    return cross, cross, incident, solutions, solutions
+    return cross, cross, incident, solutions, solutions, unpack
 
 
 class Plane:
-    """PG(2, q) in one presentation, with closure-based incidence kernels."""
+    """PG(2, q) in one presentation, with closure-based incidence kernels.
+
+    ``coords(pid)`` is the point's normalised homogeneous triple (first
+    nonzero coordinate 1), the same in both presentations: the triple of
+    the module docstring's maps for a planar id, the packed triple for a
+    homogeneous one.
+    """
 
     def __init__(self, field: Field, kind: str = "planar"):
         if kind not in ("planar", "homogeneous"):
@@ -230,7 +247,8 @@ class Plane:
         self.n_points = self.q * self.q + self.q + 1
         self.n_lines = self.n_points
         build = _planar_closures if kind == "planar" else _homog_closures
-        self.join, self.meet, self.incident, self.points_on, self.lines_through = build(field)
+        (self.join, self.meet, self.incident, self.points_on,
+         self.lines_through, self.coords) = build(field)
         self.infinity_point = self.q * self.q + self.q
         self.infinity_line = self.q * self.q + self.q
 
@@ -405,13 +423,10 @@ def convert_point(src: Plane, dst: Plane, pid: int) -> int:
     f = src.field
     q, q2 = src.q, src.q * src.q
     if src.kind == "planar":
-        if pid < q2:
-            x, y = divmod(pid, q)
-            return x * q + f.sub(y, f.mul(x, x))  # (1 : x : y - x^2)
-        if pid < q2 + q:
-            z = pid - q2
-            return q2 + f.neg(f.mul(2 % f.p, z))  # (0 : 1 : -2z)
-        return q2 + q
+        c0, c1, c2 = src.coords(pid)
+        if c0:
+            return c1 * q + c2
+        return q2 + c2 if c1 else q2 + q
     if pid < q2:
         u, v = divmod(pid, q)
         return u * q + f.add(v, f.mul(u, u))

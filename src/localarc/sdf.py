@@ -112,9 +112,11 @@ def digit_construct(basis: SdfBasis, t: int) -> set[int]:
         alphabet = A if i % 2 == 0 else range(m)
         scale = m**i
         out = {x + d * scale for x in out for d in alphabet}
-    assert len(out) == len(A) ** (t // 2) * m ** (t // 2)
-    if len(out) <= 10_000:
-        assert is_sdf_int(out)
+    if len(out) != len(A) ** (t // 2) * m ** (t // 2):
+        raise RuntimeError(f"digit construction gave {len(out)} integers, "
+                           f"not |A|^(t/2) m^(t/2)")
+    if len(out) <= 10_000 and not is_sdf_int(out):
+        raise RuntimeError("digit construction is not square-difference-free")
     return out
 
 
@@ -181,7 +183,9 @@ def sdf_subset(N: int, method: str | None = None,
             continue
         out = truncated(b)
         if out:
-            assert is_sdf_int(out)
+            if not is_sdf_int(out):
+                raise RuntimeError("truncated digit construction is not "
+                                   "square-difference-free")
             return out
     return {1}
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
-from .arcs import LocalArcFamily, verify_local_arc
+from .arcs import LocalArcFamily, NotVerified, verify_local_arc
 from .bounds import eml_upper
 from .plane import Plane, make_plane
 
@@ -138,6 +138,14 @@ def _greedy_arc(plane: Plane, k: int) -> list[int]:
     raise ValueError(f"no {k}-arc found greedily in PG(2,{plane.q})")
 
 
+def _require_verified(certificate: LocalArcFamily) -> None:
+    """Re-verify a search certificate; NotVerified names the violation."""
+    report = verify_local_arc(certificate)
+    if not report.ok:
+        raise NotVerified("search certificate fails verification: "
+                          + report.violation.describe(certificate.plane))
+
+
 def exact_max(
     q: int | SearchConfig,
     k: int | None = None,
@@ -184,7 +192,7 @@ def exact_max(
         single = sorted(_conic_points(plane)[:kk])
         fam = LocalArcFamily(plane, [tuple(single)],
                              provenance=f"search(q={cfg.q},k={kk})")
-        assert verify_local_arc(fam).ok
+        _require_verified(fam)
         return SearchResult(1, fam, True, 0,
                             time.monotonic() - start_time, eff_cap)
 
@@ -198,7 +206,7 @@ def exact_max(
         certificate = LocalArcFamily(
             plane, [tuple(s) for s in best_sets],
             provenance=f"search(q={cfg.q},k={kk})")
-        assert verify_local_arc(certificate).ok
+        _require_verified(certificate)
     optimal = (not timed_out) or best >= eff_cap
     return SearchResult(best, certificate, optimal, nodes,
                         time.monotonic() - start_time, eff_cap)
@@ -342,7 +350,9 @@ def _dfs(
         if symmetry == "fix-first-arc":
             first = _greedy_arc(plane, k)
             for p in first:
-                assert can_add(p)
+                if not can_add(p):
+                    raise RuntimeError("the greedy arc does not fit an "
+                                       "empty family")
                 add(p)
             journal0 = fold()
             cur.clear()

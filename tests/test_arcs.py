@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,10 @@ from localarc.arcs import (
     NotAnArc,
     NotVerified,
     TooLarge,
+    VerifyReport,
+    Violation,
+    _first_collinear,
+    _sample_stream,
     derive_phi,
     family_from_dict,
     family_to_dict,
@@ -27,6 +32,12 @@ from localarc.arcs import (
     verify_local_arc,
     verify_local_arc_oracle,
     verify_mwise,
+)
+from localarc.construct import (
+    case1_lift,
+    case2_lift,
+    column_pair_seed,
+    conic_partition_seed,
 )
 from localarc.plane import make_plane
 
@@ -224,6 +235,205 @@ def test_sample_verify_finds_planted_overlap():
     fam = LocalArcFamily(P5, [(0, 6), (6, 12)])
     rep = sample_verify(fam, 16, seed=0)
     assert not rep.ok and rep.violation.kind == "overlap"
+
+
+# -- sample_verify against the determinant loop it replaced ----------------
+
+
+def reference_triple_fn(plane):
+    """Point id -> homogeneous coordinate triple, for both presentations."""
+    f = plane.field
+    q = plane.q
+    q2 = q * q
+    if plane.kind == "homogeneous":
+        def triple(i):
+            if i < q2:
+                return 1, i // q, i % q
+            if i < q2 + q:
+                return 0, 1, i - q2
+            return 0, 0, 1
+    else:
+        sub, mul, neg = f.sub, f.mul, f.neg
+        two = 2 % f.p
+
+        def triple(i):
+            if i < q2:
+                x, y = divmod(i, q)
+                return 1, x, sub(y, mul(x, x))
+            if i < q2 + q:
+                return 0, 1, neg(mul(two, i - q2))
+            return 0, 0, 1
+
+    return triple
+
+
+def reference_sample_verify(family, samples, seed=0):
+    """sample_verify as a full 3 x 3 determinant over every point triple
+    of the union, each point's coordinates recomputed per triple."""
+    if samples < 1:
+        raise ValueError("at least one sample is required")
+    s = family.n_sets
+    if s < 2:
+        return VerifyReport(True, "sample", 0, seed=seed)
+    plane = family.plane
+    f = plane.field
+    sub, mul = f.sub, f.mul
+    triple = reference_triple_fn(plane)
+
+    def collinear(u, v, w):
+        u0, u1, u2 = triple(u)
+        v0, v1, v2 = triple(v)
+        w0, w1, w2 = triple(w)
+        d = sub(
+            mul(u0, sub(mul(v1, w2), mul(v2, w1))),
+            mul(u1, sub(mul(v0, w2), mul(v2, w0))),
+        )
+        return sub(d, mul(u2, sub(mul(v1, w0), mul(v0, w1)))) == 0
+
+    sets = family.sets
+    for t in range(samples):
+        a = _sample_stream(seed, 2 * t) % s
+        b = _sample_stream(seed, 2 * t + 1) % (s - 1)
+        if b >= a:
+            b += 1
+        sa, sb = sets[a], sets[b]
+        common = set(sa) & set(sb)
+        if common:
+            return VerifyReport(
+                False, "sample", t + 1,
+                Violation("overlap", tuple(sorted((a, b))), tuple(sorted(common))),
+                seed=seed,
+            )
+        union = tuple(sa) + tuple(sb)
+        for u, v, w in itertools.combinations(union, 3):
+            if collinear(u, v, w):
+                return VerifyReport(
+                    False, "sample", t + 1,
+                    Violation("collinear", tuple(sorted((a, b))),
+                              tuple(sorted((u, v, w))), line=plane.join(u, v)),
+                    seed=seed,
+                )
+    return VerifyReport(True, "sample", samples, seed=seed)
+
+
+EQUIV_PLANES = [make_plane(q, "planar") for q in (3, 5, 7, 9, 11, 25)] + [
+    make_plane(q, "homogeneous") for q in (2, 4, 5, 7, 8, 9)
+]
+
+
+def random_arc(rng, plane):
+    """A maximal arc found greedily in a random point order."""
+    pts = list(plane.point_ids())
+    rng.shuffle(pts)
+    arc, secants = [], set()
+    for p in pts:
+        lines = [plane.join(p, r) for r in arc]
+        if secants.isdisjoint(lines):
+            secants.update(lines)
+            arc.append(p)
+    return arc
+
+
+def random_family(rng, plane):
+    """Disjoint sets cut from a random arc, then perturbed: a random
+    point, a point of the line at infinity, a point repeated inside one
+    set or a point planted in two sets."""
+    arc = random_arc(rng, plane)
+    k = rng.randint(1, max(1, min(4, len(arc) // 2)))
+    n_sets = rng.randint(2, max(2, len(arc) // k))
+    pool = arc if n_sets * k <= len(arc) else list(plane.point_ids())
+    rng.shuffle(pool)
+    sets = [list(pool[i * k:(i + 1) * k]) for i in range(n_sets)]
+    sets = [st if len(st) == k else rng.sample(range(plane.n_points), k)
+            for st in sets]
+    q2 = plane.q * plane.q
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        st = rng.choice(sets)
+        i = rng.randrange(k)
+        how = rng.random()
+        if how < 0.4:
+            st[i] = rng.randrange(plane.n_points)
+        elif how < 0.65:
+            st[i] = rng.randrange(q2, plane.n_points)
+        elif how < 0.8 and k > 1:
+            st[i] = st[(i + 1) % k]
+        else:
+            st[i] = rng.choice(rng.choice(sets))
+    return LocalArcFamily(plane, sets)
+
+
+def test_sample_verify_equals_determinant_reference_on_random_families():
+    rng = random.Random(20261018)
+    kinds = Counter()
+    presentations = Counter()
+    for n in range(600):
+        plane = EQUIV_PLANES[n % len(EQUIV_PLANES)]
+        fam = random_family(rng, plane)
+        samples, seed = rng.randint(1, 40), rng.randrange(1 << 32)
+        rep = sample_verify(fam, samples, seed=seed)
+        assert rep == reference_sample_verify(fam, samples, seed=seed), (
+            plane, fam.materialize(), samples, seed)
+        kinds[rep.violation.kind if rep.violation else "ok"] += 1
+        presentations[plane.kind] += 1
+    assert presentations["planar"] == presentations["homogeneous"] == 300
+    # accepted families, overlaps and collinear triples all occur
+    assert min(kinds[kind] for kind in ("ok", "overlap", "collinear")) >= 50
+
+
+@pytest.mark.parametrize("plane", [P7, make_plane(7, "homogeneous"), H4],
+                         ids=str)
+def test_sample_verify_equals_reference_on_planted_unions(plane):
+    on_infinity = list(range(plane.q * plane.q, plane.n_points))
+    arc = random_arc(random.Random(5), plane)
+    line = plane.points_on(plane.join(arc[0], arc[1]))
+    off = arc[2:]  # an arc meets the line of arc[0], arc[1] nowhere else
+    families = {
+        # two points at infinity lead set 0, so a triple of the union
+        # starts on the line at infinity
+        "infinity-first": [on_infinity[:2], arc[2:4]],
+        "repeat-in-set": [[arc[0], arc[0], arc[1]], arc[2:5]],
+        "overlap": [arc[:3], [arc[2], arc[3], arc[4]]],
+        "collinear-in-set": [list(line[:3]), off[:3]],
+        "collinear-across": [[line[0], line[1]], [line[2], off[0]]],
+    }
+    for name, sets in families.items():
+        fam = LocalArcFamily(plane, sets)
+        for seed in range(12):
+            rep = sample_verify(fam, 8, seed=seed)
+            assert rep == reference_sample_verify(fam, 8, seed=seed), name
+            if name != "infinity-first":
+                assert not rep.ok, name
+
+
+def test_first_collinear_pivots_or_takes_the_determinant():
+    f = P7.field
+    q2 = P7.q * P7.q
+    on_parabola = [P7.affine_point(x, f.mul(x, x)) for x in (1, 2, 3)]
+    cases = {
+        # (0) and the points (x, x^2) of [0, 0] are collinear
+        (q2, q2 + 1, *on_parabola[:2]): (0, 2, 3),
+        (*on_parabola[:2], q2): (0, 1, 2),
+        (on_parabola[0], P7.affine_point(4, 4), *on_parabola[1:]): (0, 2, 3),
+        (q2 + 1, q2 + 2, P7.infinity_point): (0, 1, 2),
+        (P7.affine_point(0, 1), q2 + 3, P7.affine_point(5, 0)): None,
+    }
+    for union, expected in cases.items():
+        pts = [P7.coords(p) for p in union]
+        assert _first_collinear(pts, f.sub, f.mul) == expected, union
+
+
+@pytest.mark.parametrize("build", ["case1-55", "case2-625"])
+def test_sample_verify_equals_reference_on_accepted_lifts(build):
+    if build == "case1-55":
+        fam = case1_lift(conic_partition_seed(11, 2))
+        assert fam.n_sets == 55
+    else:
+        fam = case2_lift(case1_lift(column_pair_seed(5)), 2)
+        assert fam.n_sets == 625
+    for seed in (0, 1, 2):
+        rep = sample_verify(fam, 2000, seed=seed)
+        assert rep.ok and rep.pairs_checked == 2000
+        assert rep == reference_sample_verify(fam, 2000, seed=seed)
 
 
 def test_is_arc_and_secants():

@@ -1,5 +1,6 @@
 """Construction layer: seeds, digit lifting, extension liftings."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -222,6 +223,20 @@ def test_wide_window_lift_rejected_under_python_O():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "rejected: point (1,75) repeats in sets [2, 151]\n"
+
+
+def test_no_module_of_the_package_uses_assert():
+    # python -O strips assert statements, so none may guard a result
+    pkg = Path(localarc.__file__).resolve().parent
+    modules = sorted(pkg.glob("*.py"))
+    assert len(modules) >= 9
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_lift_prime_requires_valid_seed():

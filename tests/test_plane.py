@@ -73,6 +73,27 @@ def test_presentation_conversion_is_an_isomorphism(q):
         assert {fl[l] for l in row_src} == row_dst
 
 
+@pytest.mark.parametrize("name", sorted(PLANES))
+def test_coords_are_the_homogeneous_triples(name):
+    pl = PLANES[name]
+    ph = make_plane(pl.field, "homogeneous")
+    q, q2 = pl.q, pl.q * pl.q
+    unpacked = [(1, i // q, i % q) for i in range(q2)]
+    unpacked += [(0, 1, c) for c in range(q)] + [(0, 0, 1)]
+    assert [ph.coords(i) for i in range(pl.n_points)] == unpacked
+    # normalised triples, one per point, that meet exactly the point's
+    # lines (taken through convert_line) pin the coordinates down
+    assert sorted(pl.coords(p) for p in range(pl.n_points)) == sorted(unpacked)
+    f = pl.field
+    for p in range(pl.n_points):
+        x = pl.coords(p)
+        for l in range(pl.n_lines):
+            c = unpacked[convert_line(pl, ph, l)]
+            dot = f.add(f.add(f.mul(x[0], c[0]), f.mul(x[1], c[1])),
+                        f.mul(x[2], c[2]))
+            assert pl.incident(p, l) == (dot == 0)
+
+
 def test_even_characteristic_rejected_for_planar():
     with pytest.raises(EvenCharPlanar):
         make_plane(4, "planar")
