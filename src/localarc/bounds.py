@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from localarc.gf import _prime_factors
+from localarc.gf import factor_prime_power
 
 __all__ = [
     "BoundReport",
@@ -45,9 +45,11 @@ class UndefinedCase(ValueError):
 
 
 def is_prime_power(n: int) -> bool:
-    if n < 2:
+    try:
+        factor_prime_power(n)
+    except ValueError:
         return False
-    return len(_prime_factors(n)) == 1
+    return True
 
 
 def prime_powers(limit: int):

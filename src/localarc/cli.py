@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -74,7 +73,6 @@ class RunConfig:
     verify_mode: str = "full"
     seed: int | None = None
     budget: float | None = None
-    workers: int = 1
     in_path: str | None = None
     out_path: str | None = None
     fmt: str = "text"
@@ -96,8 +94,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.fmt not in _FORMATS:
             raise UsageError(f"format must be one of {_FORMATS}")
-        if self.workers < 1:
-            raise UsageError("--workers must be positive")
         if self.method is not None and self.method not in _METHODS:
             raise UsageError(f"--method must be one of {_METHODS}")
         if self.verify_mode != "full" and self.verify_mode != "none" \
@@ -124,14 +120,6 @@ def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
         return tuple(int(x) for x in text.replace(";", ",").split(",") if x)
     except ValueError as exc:
         raise UsageError(f"bad {flag} value: {exc}") from exc
-
-
-def _default_workers() -> int:
-    raw = os.environ.get("LOCALARC_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _apply_verification(fam: LocalArcFamily, mode: str) -> str:
@@ -332,8 +320,7 @@ def _cmd_search(cfg: RunConfig) -> int:
     if cfg.q is None or cfg.k is None:
         raise UsageError("search needs --q and --k")
     scfg = SearchConfig(q=cfg.q, k=cfg.k, budget=cfg.budget,
-                        workers=cfg.workers, symmetry=cfg.symmetry,
-                        cap=cfg.cap)
+                        symmetry=cfg.symmetry, cap=cfg.cap)
     res = exact_max(scfg)
     if cfg.emit_lp:
         _write_text(cfg.emit_lp, emit_ilp(cfg.q, cfg.k, cfg.cap,
@@ -427,8 +414,7 @@ def _cmd_lrc_params(cfg: RunConfig) -> int:
 
 
 def _cmd_table(cfg: RunConfig) -> int:
-    results = reproduce_table(cfg.qs, cfg.ks, budget=cfg.budget,
-                              workers=cfg.workers)
+    results = reproduce_table(cfg.qs, cfg.ks, budget=cfg.budget)
     if cfg.fmt == "json":
         print(json.dumps([{
             "q": r.q, "k": r.k, "found": r.found, "optimal": r.optimal,
@@ -492,7 +478,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--q", type=int, required=True)
     ps.add_argument("--k", type=int, required=True)
     ps.add_argument("--budget", type=float)
-    ps.add_argument("--workers", type=int, default=_default_workers())
     ps.add_argument("--symmetry", choices=("none", "fix-first-arc"))
     ps.add_argument("--cap", type=int)
     ps.add_argument("--emit-lp", dest="emit_lp")
@@ -530,7 +515,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--q", dest="qs", help="comma separated values")
     pt.add_argument("--k", dest="ks", help="comma separated values")
     pt.add_argument("--budget", type=float, help="seconds per cell")
-    pt.add_argument("--workers", type=int, default=_default_workers())
     common(pt)
 
     return top

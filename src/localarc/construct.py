@@ -34,7 +34,13 @@ from localarc.arcs import (
     secants_of,
     verify_local_arc,
 )
-from localarc.gf import Field, find_primitive, is_prime, make_field
+from localarc.gf import (
+    Field,
+    factor_prime_power,
+    find_primitive,
+    is_prime,
+    make_field,
+)
 from localarc.plane import Plane, make_plane
 from localarc.sdf import SdfBasis, sdf_subset
 
@@ -263,7 +269,7 @@ def oval_partition(q: int, k: int) -> LocalArcFamily:
     """
     if k < 2:
         raise ValueError("set size k must be at least 2")
-    field = make_field(*_factor_prime_power(q))
+    field = make_field(*factor_prime_power(q))
     if q % 2:
         plane = make_plane(field, "planar")
         mul = field.mul
@@ -315,26 +321,6 @@ def column_pair_seed(p: int) -> LocalArcFamily:
     )
     fam = LocalArcFamily(plane, sets, k=2, provenance=f"column_pairs(p={p})")
     return _verified(fam)
-
-
-def _factor_prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise ValueError(f"q = {q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
-    m = 0
-    n = q
-    while n % p == 0:
-        n //= p
-        m += 1
-    if n != 1:
-        raise ValueError(f"q = {q} is not a prime power")
-    return p, m
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +763,7 @@ def best_construction(
     winner is auditable.  Branches whose closed-form output would exceed
     max_points are skipped rather than built.
     """
-    p, m = _factor_prime_power(q)
+    p, m = factor_prime_power(q)
     if p == 2:
         raise ValueError("dispatch covers odd q; even q has oval_partition only")
     report: dict[str, object] = {}

@@ -18,6 +18,7 @@ and larger fields fall back to explicit digit-vector arithmetic.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -28,6 +29,7 @@ __all__ = [
     "FieldSpec",
     "make_field",
     "is_prime",
+    "factor_prime_power",
     "is_square",
     "find_primitive",
     "reduce_int",
@@ -66,6 +68,22 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def factor_prime_power(q: int) -> tuple[int, int]:
+    """(p, m) with q = p**m and p prime; ValueError for any other q."""
+    if q >= 2:
+        if is_prime(q):
+            return q, 1
+        # the smallest divisor above 1 is prime
+        p = next(d for d in range(2, math.isqrt(q) + 1) if q % d == 0)
+        m, rest = 0, q
+        while rest % p == 0:
+            rest //= p
+            m += 1
+        if rest == 1:
+            return p, m
+    raise ValueError(f"q = {q} is not a prime power")
 
 
 def _prime_factors(n: int) -> list[int]:

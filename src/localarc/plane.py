@@ -31,7 +31,7 @@ which carry one incidence relation exactly onto the other.
 
 from __future__ import annotations
 
-from localarc.gf import Field, is_prime, make_field
+from localarc.gf import Field, factor_prime_power, make_field
 
 __all__ = [
     "EvenCharPlanar",
@@ -49,23 +49,7 @@ class EvenCharPlanar(ValueError):
 def _as_field(field_or_q) -> Field:
     if isinstance(field_or_q, Field):
         return field_or_q
-    q = int(field_or_q)
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    p = 2
-    while q % p:
-        p += 1
-        if p * p > q:
-            p = q
-            break
-    m = 0
-    t = q
-    while t % p == 0:
-        t //= p
-        m += 1
-    if t != 1 or not is_prime(p):
-        raise ValueError(f"{q} is not a prime power")
-    return make_field(p, m)
+    return make_field(*factor_prime_power(int(field_or_q)))
 
 
 def _planar_closures(field: Field):

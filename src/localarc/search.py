@@ -4,10 +4,13 @@ Two engines share the same model:
 
 * ``exact_max`` runs a depth-first backtracking search over canonical
   set orderings (sets sorted by their smallest point, points ascending
-  inside each set).  Line tallies prune the tree: a line that is a
-  secant of one set may meet no other set, and no line may carry three
-  points of the union of two sets.  The search is deterministic, so
-  node counts are reproducible.
+  inside each set).  Point sets are bit masks over point ids, and two
+  rules prune the tree: a line that is a secant of one set may meet no
+  other set, so its points leave the free mask for good; and no line
+  may carry three points of the union of two sets, so adding a point
+  shuts, for the rest of its set, every line through it that already
+  holds a point.  The search is deterministic, so node counts are
+  reproducible.
 
 * ``emit_ilp`` writes the equivalent 0/1 integer program in LP text
   format for an external solver, and ``check_certificate`` replays a
@@ -59,25 +62,17 @@ class SearchConfig:
     without proof; it defaults to the second-moment bound.  Passing a
     smaller unproven value makes the returned ``optimal`` flag mean
     "optimal among families of at most cap sets".
-
-    workers caps process-level parallelism.  The engine is serial, so
-    any value produces the same result and node count; the field is
-    validated and carried for callers that schedule several cells at
-    once.
     """
 
     q: int
     k: int
     budget: float | None = None
-    workers: int = 1
     symmetry: str | None = None
     cap: int | None = None
 
     def __post_init__(self) -> None:
         if self.k < 2:
             raise ValueError("uniformity k must be at least 2")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
         if self.budget is not None and self.budget <= 0:
             raise ValueError("budget must be positive when given")
         if self.symmetry is not None and self.symmetry not in _SYMMETRY_MODES:
@@ -151,7 +146,6 @@ def exact_max(
     k: int | None = None,
     *,
     budget: float | None = None,
-    workers: int = 1,
     symmetry: str | None = None,
     cap: int | None = None,
 ) -> SearchResult:
@@ -159,18 +153,19 @@ def exact_max(
 
     Depth-first search over canonical orderings: each new set's
     smallest point exceeds the previous set's smallest point and points
-    are placed in ascending order inside a set.  Prunes with per-line
-    tallies, remaining-point counts, and the cap.  Exhausting the tree
-    (or reaching the cap) proves optimality; running out of budget
-    returns the incumbent with optimal=False.
+    are placed in ascending order inside a set.  Prunes with bit masks
+    of the points still open (see ``_dfs``), remaining-point counts,
+    and the cap.  Exhausting the tree (or reaching the cap) proves
+    optimality; running out of budget returns the incumbent with
+    optimal=False.
     """
     if isinstance(q, SearchConfig):
         cfg = q
     else:
         if k is None:
             raise ValueError("k is required when q is given as an integer")
-        cfg = SearchConfig(q=q, k=k, budget=budget, workers=workers,
-                           symmetry=symmetry, cap=cap)
+        cfg = SearchConfig(q=q, k=k, budget=budget, symmetry=symmetry,
+                           cap=cap)
 
     start_time = time.monotonic()
     plane = make_plane(cfg.q, kind="homogeneous")
@@ -219,15 +214,29 @@ def _dfs(
     deadline: float | None,
     symmetry: str,
 ) -> tuple[list[list[int]], int, bool]:
+    """Depth-first search over canonical orderings.
+
+    Returns (best sets, nodes, timed_out).  Point sets are Python ints,
+    bit p standing for point p: used holds the points of the completed
+    sets and of the current one, dead every point on a secant of a
+    completed set, and free = ~(used | dead).  add(p) returns shut, the
+    points of every line through p that already holds a point of the
+    current set or of a completed set; the current set may take exactly
+    free & ~(the shuts of its points), walked in ascending order.  A new
+    set starts only while the free points from its first point on could
+    still beat the incumbent.
+    """
     n = plane.n_points
     lines_through = [plane.lines_through(p) for p in range(n)]
+    line_mask = [sum(1 << p for p in plane.points_on(lid))
+                 for lid in range(plane.n_lines)]
 
-    # per-line tallies: secant of a completed set closes the line; any
-    # number of completed sets may hold one point each
-    done_sec = bytearray(plane.n_lines)
+    # a line holding one point of several completed sets stays open;
+    # done_single counts those sets, cur_cnt the current set's points
     done_single = [0] * plane.n_lines
     cur_cnt = [0] * plane.n_lines
-    used = bytearray(n)
+    used = 0
+    dead = 0
 
     sets_acc: list[list[int]] = []
     cur: list[int] = []
@@ -235,30 +244,27 @@ def _dfs(
     state = {"best": 0, "best_sets": [], "nodes": 0, "stop": False,
              "timed_out": False}
 
-    def can_add(p: int) -> bool:
-        for lid in lines_through[p]:
-            if done_sec[lid]:
-                return False
-            c = cur_cnt[lid]
-            if c == 2:
-                return False
-            if c == 1 and done_single[lid]:
-                return False
-        return True
-
-    def add(p: int) -> None:
-        used[p] = 1
+    def add(p: int) -> int:
+        nonlocal used
+        used |= 1 << p
         cur.append(p)
+        shut = 0
         for lid in lines_through[p]:
+            if cur_cnt[lid] or done_single[lid]:
+                shut |= line_mask[lid]
             cur_cnt[lid] += 1
+        return shut
 
     def remove(p: int) -> None:
-        used[p] = 0
+        nonlocal used
+        used &= ~(1 << p)
         cur.pop()
         for lid in lines_through[p]:
             cur_cnt[lid] -= 1
 
-    def fold() -> list[tuple[int, int]]:
+    def fold() -> tuple[int, list[tuple[int, int]]]:
+        nonlocal dead
+        dead_before = dead
         journal = []
         for p in cur:
             for lid in lines_through[p]:
@@ -267,19 +273,19 @@ def _dfs(
                     journal.append((lid, c))
                     cur_cnt[lid] = 0
                     if c == 2:
-                        done_sec[lid] = 1
+                        dead |= line_mask[lid]
                     else:
                         done_single[lid] += 1
         sets_acc.append(list(cur))
-        return journal
+        return dead_before, journal
 
-    def unfold(journal: list[tuple[int, int]]) -> None:
+    def unfold(undo: tuple[int, list[tuple[int, int]]]) -> None:
+        nonlocal dead
         sets_acc.pop()
+        dead, journal = undo
         for lid, c in journal:
             cur_cnt[lid] = c
-            if c == 2:
-                done_sec[lid] = 0
-            else:
+            if c == 1:
                 done_single[lid] -= 1
 
     def tick() -> None:
@@ -289,33 +295,26 @@ def _dfs(
                 state["timed_out"] = True
                 raise _Timeout
 
-    def usable_from(start: int) -> int:
-        count = 0
-        for p in range(start, n):
-            if used[p]:
-                continue
-            if any(done_sec[lid] for lid in lines_through[p]):
-                continue
-            count += 1
-        return count
-
-    def extend_set(lo: int) -> None:
+    def extend_set(lo: int, allowed: int) -> None:
         need = k - len(cur)
         if need == 0:
             complete_set()
             return
-        for p in range(lo, n - need + 1):
-            if used[p] or not can_add(p):
-                continue
+        # candidates p in [lo, n - need]: room is left for the rest
+        cand = (allowed >> lo << lo) & ((1 << (n - need + 1)) - 1)
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            p = low.bit_length() - 1
             tick()
-            add(p)
-            extend_set(p + 1)
+            shut = add(p)
+            extend_set(p + 1, allowed & ~shut)
             remove(p)
             if state["stop"]:
                 return
 
     def complete_set() -> None:
-        journal = fold()
+        undo = fold()
         saved = list(cur)
         cur.clear()
         m = len(sets_acc)
@@ -327,21 +326,26 @@ def _dfs(
         if not state["stop"]:
             open_set(saved[0] + 1)
         cur.extend(saved)
-        unfold(journal)
+        unfold(undo)
 
     def open_set(lo: int) -> None:
         m = len(sets_acc)
-        for s in range(lo, n - k + 1):
-            # ids below s are spoken for, so at most (n - s) // k more sets
+        free = ~(used | dead) & ((1 << n) - 1)
+        cand = (free >> lo << lo) & ((1 << (n - k + 1)) - 1)
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            s = low.bit_length() - 1
+            # ids below s are spoken for, so at most (n - s) // k more
+            # sets; the bound only tightens as s grows, so non-candidate
+            # ids need no test
             if m + (n - s) // k <= state["best"]:
                 return
-            if used[s] or not can_add(s):
-                continue
-            if m + usable_from(s) // k <= state["best"]:
+            if m + (free >> s).bit_count() // k <= state["best"]:
                 return
             tick()
-            add(s)
-            extend_set(s + 1)
+            shut = add(s)
+            extend_set(s + 1, free & ~shut)
             remove(s)
             if state["stop"]:
                 return
@@ -349,12 +353,13 @@ def _dfs(
     try:
         if symmetry == "fix-first-arc":
             first = _greedy_arc(plane, k)
+            allowed = (1 << n) - 1
             for p in first:
-                if not can_add(p):
+                if not allowed >> p & 1:
                     raise RuntimeError("the greedy arc does not fit an "
                                        "empty family")
-                add(p)
-            journal0 = fold()
+                allowed &= ~add(p)
+            undo0 = fold()
             cur.clear()
             state["best"] = 1
             state["best_sets"] = [list(first)]
@@ -363,7 +368,7 @@ def _dfs(
             else:
                 open_set(first[0] + 1)
             cur.extend(first)
-            unfold(journal0)
+            unfold(undo0)
             for p in reversed(first):
                 remove(p)
         else:
@@ -631,7 +636,6 @@ def reproduce_table(
     ks: Sequence[int] | None = None,
     *,
     budget: float | None = None,
-    workers: int = 1,
     reference: dict[tuple[int, int], tuple[int, bool]] | None = None,
 ) -> list[CellResult]:
     """Run exact_max over reference cells and report agreement.
@@ -649,7 +653,7 @@ def reproduce_table(
     results = []
     for (q, k) in cells:
         value, exact = ref[(q, k)]
-        res = exact_max(q, k, budget=budget, workers=workers)
+        res = exact_max(q, k, budget=budget)
         status = _cell_status(res.num_sets, res.optimal, value, exact)
         results.append(CellResult(q, k, res.num_sets, res.optimal,
                                   value, exact, status, res.nodes,

@@ -15,7 +15,6 @@ from localarc.cli import (
     EXIT_USAGE,
     RunConfig,
     UsageError,
-    _default_workers,
     run,
 )
 
@@ -242,20 +241,16 @@ def test_usage_errors_exit_2():
                 "--p", "13"]) == EXIT_USAGE  # missing --m
 
 
-def test_default_workers_env(monkeypatch):
-    monkeypatch.setenv("LOCALARC_WORKERS", "3")
-    assert _default_workers() == 3
-    monkeypatch.setenv("LOCALARC_WORKERS", "junk")
-    assert _default_workers() == 1
-    monkeypatch.delenv("LOCALARC_WORKERS")
-    assert _default_workers() == 1
+def test_workers_flag_is_gone():
+    # the search engine is serial, so there is no --workers flag
+    with pytest.raises(SystemExit) as exc:
+        run(["search", "--q", "3", "--k", "2", "--workers", "2"])
+    assert exc.value.code == EXIT_USAGE == 2
 
 
 def test_run_config_validation():
     with pytest.raises(UsageError):
         RunConfig(subcommand="bound", fmt="xml")
-    with pytest.raises(UsageError):
-        RunConfig(subcommand="search", workers=0)
     with pytest.raises(UsageError):
         RunConfig(subcommand="construct", verify_mode="maybe")
 

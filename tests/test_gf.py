@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 import localarc.gf as gfmod
 from localarc.gf import (
     NonPrime,
+    factor_prime_power,
     find_primitive,
     is_prime,
     is_square,
@@ -12,6 +13,18 @@ from localarc.gf import (
     reduce_int,
     tower_isomorphism,
 )
+
+
+@pytest.mark.parametrize("q,expected", [
+    (1, None), (2, (2, 1)), (12, None), (49, (7, 2)), (64, (2, 6)),
+    (10000019, (10000019, 1)), (131 ** 3, (131, 3)), (2 * 3 ** 5, None),
+])
+def test_factor_prime_power(q, expected):
+    if expected is None:
+        with pytest.raises(ValueError, match="is not a prime power"):
+            factor_prime_power(q)
+    else:
+        assert factor_prime_power(q) == expected
 
 
 def _digit_field(p, m):

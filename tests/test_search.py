@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+import time
+
 import pytest
 
+from localarc import search
 from localarc.arcs import verify_local_arc
 from localarc.bounds import eml_upper
-from localarc.plane import make_plane
+from localarc.plane import Plane, make_plane
 from localarc.search import (
     CellResult,
     SearchConfig,
@@ -16,7 +20,10 @@ from localarc.search import (
     load_reference_table,
     parse_lp,
     reproduce_table,
+    _dfs,
     _greedy_arc,
+    _max_arc_size,
+    _Timeout,
 )
 
 # proven optima for the small planes (exhaustive cells only)
@@ -114,8 +121,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(q=5, k=1)
     with pytest.raises(ValueError):
-        SearchConfig(q=5, k=2, workers=0)
-    with pytest.raises(ValueError):
         SearchConfig(q=5, k=2, symmetry="mirror")
     with pytest.raises(ValueError):
         SearchConfig(q=5, k=2, cap=0)
@@ -132,6 +137,297 @@ def test_greedy_arc_is_arc():
         arc = _greedy_arc(plane, 4)
         assert len(arc) == 4 and arc[0] == 0
         assert is_arc(plane, arc)
+
+
+# ---------------------------------------------------------------------------
+# the bit-mask engine against the per-line-tally engine it replaced
+#
+# reference_dfs is a literal copy of the search engine before point sets
+# became bit masks.  The two must walk the same tree: the same incumbent
+# families in the same order, the same node count, the same stop.
+
+
+def reference_dfs(
+    plane: Plane,
+    k: int,
+    cap: int,
+    deadline: float | None,
+    symmetry: str,
+) -> tuple[list[list[int]], int, bool]:
+    n = plane.n_points
+    lines_through = [plane.lines_through(p) for p in range(n)]
+
+    # per-line tallies: secant of a completed set closes the line; any
+    # number of completed sets may hold one point each
+    done_sec = bytearray(plane.n_lines)
+    done_single = [0] * plane.n_lines
+    cur_cnt = [0] * plane.n_lines
+    used = bytearray(n)
+
+    sets_acc: list[list[int]] = []
+    cur: list[int] = []
+
+    state = {"best": 0, "best_sets": [], "nodes": 0, "stop": False,
+             "timed_out": False}
+
+    def can_add(p: int) -> bool:
+        for lid in lines_through[p]:
+            if done_sec[lid]:
+                return False
+            c = cur_cnt[lid]
+            if c == 2:
+                return False
+            if c == 1 and done_single[lid]:
+                return False
+        return True
+
+    def add(p: int) -> None:
+        used[p] = 1
+        cur.append(p)
+        for lid in lines_through[p]:
+            cur_cnt[lid] += 1
+
+    def remove(p: int) -> None:
+        used[p] = 0
+        cur.pop()
+        for lid in lines_through[p]:
+            cur_cnt[lid] -= 1
+
+    def fold() -> list[tuple[int, int]]:
+        journal = []
+        for p in cur:
+            for lid in lines_through[p]:
+                c = cur_cnt[lid]
+                if c:
+                    journal.append((lid, c))
+                    cur_cnt[lid] = 0
+                    if c == 2:
+                        done_sec[lid] = 1
+                    else:
+                        done_single[lid] += 1
+        sets_acc.append(list(cur))
+        return journal
+
+    def unfold(journal: list[tuple[int, int]]) -> None:
+        sets_acc.pop()
+        for lid, c in journal:
+            cur_cnt[lid] = c
+            if c == 2:
+                done_sec[lid] = 0
+            else:
+                done_single[lid] -= 1
+
+    def tick() -> None:
+        state["nodes"] += 1
+        if deadline is not None and state["nodes"] % 2048 == 0:
+            if time.monotonic() > deadline:
+                state["timed_out"] = True
+                raise _Timeout
+
+    def usable_from(start: int) -> int:
+        count = 0
+        for p in range(start, n):
+            if used[p]:
+                continue
+            if any(done_sec[lid] for lid in lines_through[p]):
+                continue
+            count += 1
+        return count
+
+    def extend_set(lo: int) -> None:
+        need = k - len(cur)
+        if need == 0:
+            complete_set()
+            return
+        for p in range(lo, n - need + 1):
+            if used[p] or not can_add(p):
+                continue
+            tick()
+            add(p)
+            extend_set(p + 1)
+            remove(p)
+            if state["stop"]:
+                return
+
+    def complete_set() -> None:
+        journal = fold()
+        saved = list(cur)
+        cur.clear()
+        m = len(sets_acc)
+        if m > state["best"]:
+            state["best"] = m
+            state["best_sets"] = [list(s) for s in sets_acc]
+            if m >= cap:
+                state["stop"] = True
+        if not state["stop"]:
+            open_set(saved[0] + 1)
+        cur.extend(saved)
+        unfold(journal)
+
+    def open_set(lo: int) -> None:
+        m = len(sets_acc)
+        for s in range(lo, n - k + 1):
+            # ids below s are spoken for, so at most (n - s) // k more sets
+            if m + (n - s) // k <= state["best"]:
+                return
+            if used[s] or not can_add(s):
+                continue
+            if m + usable_from(s) // k <= state["best"]:
+                return
+            tick()
+            add(s)
+            extend_set(s + 1)
+            remove(s)
+            if state["stop"]:
+                return
+
+    try:
+        if symmetry == "fix-first-arc":
+            first = _greedy_arc(plane, k)
+            for p in first:
+                if not can_add(p):
+                    raise RuntimeError("the greedy arc does not fit an "
+                                       "empty family")
+                add(p)
+            journal0 = fold()
+            cur.clear()
+            state["best"] = 1
+            state["best_sets"] = [list(first)]
+            if cap <= 1:
+                state["stop"] = True
+            else:
+                open_set(first[0] + 1)
+            cur.extend(first)
+            unfold(journal0)
+            for p in reversed(first):
+                remove(p)
+        else:
+            open_set(0)
+    except _Timeout:
+        pass
+
+    return state["best_sets"], state["nodes"], state["timed_out"]
+
+
+
+class _CheckClock:
+    """Stands in for the time module: its n-th monotonic() reading is n.
+
+    A search checks the clock every 2,048 nodes, so with deadline N it
+    stops at node 2048 * (N + 1) whatever the machine's speed.
+    """
+
+    def __init__(self):
+        self.reads = 0
+
+    def monotonic(self):
+        self.reads += 1
+        return self.reads
+
+
+def _engine_cells(qs):
+    for q in qs:
+        for k in range(2, 7):
+            if k > _max_arc_size(q):
+                continue
+            for symmetry in ("none", "fix-first-arc"):
+                for cap in (None, 3, 5):
+                    yield q, k, symmetry, cap
+
+
+def _engine_cap(q, k, cap):
+    hard = eml_upper(k, q).sets
+    return hard if cap is None else min(cap, hard)
+
+
+# q = 7 cells whose tree the reference engine needs minutes or more to
+# exhaust; they are compared on a prefix of the tree instead
+_OPEN_Q7 = {(7, 2, "none", None), (7, 2, "fix-first-arc", None),
+            (7, 4, "none", None), (7, 4, "none", 5),
+            (7, 5, "none", None), (7, 5, "none", 3), (7, 5, "none", 5),
+            (7, 6, "none", None), (7, 6, "none", 3), (7, 6, "none", 5)}
+
+_CLOSING_CELLS = [c for c in _engine_cells((2, 3, 4, 5, 7))
+                  if c not in _OPEN_Q7]
+
+
+@pytest.mark.parametrize("q,k,symmetry,cap", _CLOSING_CELLS)
+def test_engine_matches_reference(q, k, symmetry, cap):
+    plane = make_plane(q, kind="homogeneous")
+    c = _engine_cap(q, k, cap)
+    got = _dfs(plane, k, c, None, symmetry)
+    want = reference_dfs(plane, k, c, None, symmetry)
+    assert got == want
+    assert not got[2]
+
+
+def _compare_prefix(monkeypatch, q, k, symmetry, cap, checks):
+    plane = make_plane(q, kind="homogeneous")
+    c = _engine_cap(q, k, cap)
+    monkeypatch.setattr(search, "time", _CheckClock())
+    got = _dfs(plane, k, c, checks, symmetry)
+    monkeypatch.setattr(sys.modules[__name__], "time", _CheckClock())
+    want = reference_dfs(plane, k, c, checks, symmetry)
+    assert got == want
+    assert got[1:] == (2048 * (checks + 1), True)
+
+
+@pytest.mark.parametrize("q,k,symmetry,cap", sorted(_OPEN_Q7, key=str))
+def test_engine_matches_reference_on_a_tree_prefix(monkeypatch, q, k,
+                                                   symmetry, cap):
+    _compare_prefix(monkeypatch, q, k, symmetry, cap, checks=7)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q,k,symmetry,cap", sorted(_OPEN_Q7, key=str))
+def test_engine_matches_reference_on_a_long_tree_prefix(monkeypatch, q, k,
+                                                        symmetry, cap):
+    _compare_prefix(monkeypatch, q, k, symmetry, cap, checks=99)
+
+
+def test_engine_deadline_stops_at_the_same_node():
+    # a deadline already past stops both engines at the first clock check
+    plane = make_plane(5, kind="homogeneous")
+    got = _dfs(plane, 4, 3, 0.0, "none")
+    want = reference_dfs(plane, 4, 3, 0.0, "none")
+    assert got == want
+    assert got[1:] == (2048, True)
+
+
+# the perfbench search-table cells: (q, k, cap) -> (sets, nodes, family)
+BENCH_CELLS = {
+    (8, 3, None): (9, 136_547, [
+        (0, 1, 8), (9, 20, 22), (10, 39, 63), (12, 43, 59), (14, 33, 42),
+        (29, 30, 45), (36, 41, 58), (38, 50, 52), (57, 70, 71)]),
+    (9, 4, None): (4, 37_742, [
+        (0, 1, 9, 10), (21, 25, 41, 59), (38, 48, 52, 56),
+        (39, 61, 86, 88)]),
+    (9, 3, 9): (9, 385_236, [
+        (0, 1, 9), (10, 21, 22), (11, 29, 35), (14, 40, 87), (15, 75, 80),
+        (16, 43, 82), (17, 49, 50), (44, 59, 60), (69, 71, 89)]),
+    (11, 3, 10): (10, 10_134, [
+        (0, 1, 11), (12, 25, 26), (13, 34, 35), (14, 48, 49), (15, 56, 58),
+        (16, 106, 109), (17, 89, 94), (19, 74, 130), (20, 81, 86),
+        (21, 114, 115)]),
+}
+
+
+@pytest.mark.parametrize("q,k,cap", sorted(BENCH_CELLS, key=str))
+def test_bench_cells_pinned(q, k, cap):
+    sets, nodes, family = BENCH_CELLS[(q, k, cap)]
+    res = exact_max(q, k, cap=cap)
+    assert (res.num_sets, res.optimal, res.nodes) == (sets, True, nodes)
+    assert [tuple(s) for s in res.certificate.sets] == family
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q,k,cap", sorted(BENCH_CELLS, key=str))
+def test_bench_cells_match_reference(q, k, cap):
+    plane = make_plane(q, kind="homogeneous")
+    c = _engine_cap(q, k, cap)
+    symmetry = SearchConfig(q=q, k=k).resolved_symmetry()
+    assert _dfs(plane, k, c, None, symmetry) == reference_dfs(
+        plane, k, c, None, symmetry)
 
 
 # ---------------------------------------------------------------------------
