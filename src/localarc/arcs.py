@@ -395,7 +395,7 @@ def _verify_sweep(family: LocalArcFamily) -> VerifyReport:
     return VerifyReport(True, "fast", n * (n - 1) // 2)
 
 
-def _differences(sub, offsets):
+def _differences(add, neg, offsets):
     """Each difference w - u of two offsets -> the first index pair
     (of u, of w) that gives it, the difference 0 first, as (0, 0); and
     the index pair a < b of two equal offsets, or None."""
@@ -403,8 +403,9 @@ def _differences(sub, offsets):
     out: dict[int, tuple[int, int]] = {}
     twin = None
     for a, u in enumerate(offs):
+        minus_u = neg(u)
         for b, w in enumerate(offs):
-            d = sub(w, u)
+            d = add(w, minus_u)
             if d not in out:
                 out[d] = (a, b)
             elif d == 0 and a < b and twin is None:
@@ -441,8 +442,8 @@ def _verify_translates(family: LocalArcFamily) -> VerifyReport:
     layout = family.translation
     base = layout.base
     b = len(base)
-    du, twin_u = _differences(sub, layout.us)
-    dv, twin_v = _differences(sub, layout.vs)
+    du, twin_u = _differences(add, f.neg, layout.us)
+    dv, twin_v = _differences(add, f.neg, layout.vs)
     filled = [si for si, s in enumerate(base) if s]
     if (twin_u or twin_v) and filled:
         # an offset listed twice lists every base set twice

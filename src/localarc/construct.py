@@ -11,14 +11,15 @@ Three layers:
 * the extension liftings that push a family over GF(p) (or GF(p^2)) up
   to GF(p^m) by translating it with carefully shaped polynomial tails.
 
-Every construction re-verifies its output: exactly when the family has
-at most _FULL_LIMIT points, otherwise by counter-based sampling at three
-seeds.  The lifts list every translate of a base set family and attach
-that layout (a TranslationLayout), so their exact check runs on the base
-and the difference set T - T instead of a sweep over all point pairs.
-Set counts are additionally checked against their closed forms exactly,
-never approximately.  These checks raise NotVerified, never rely on
-assert, so they hold under python -O.
+Every construction re-verifies its output exactly, with verify_local_arc
+(a lift skips this only when called with check=False).  The lifts list
+every translate of a base set family and attach that layout (a
+TranslationLayout), so their check runs on the base and the difference
+set T - T instead of a sweep over all point pairs, at any family size.
+Each lift first plans its layout and checks the layout's set count
+against its closed form, exactly and before any set exists;
+best_construction budgets from that count.  These checks raise
+NotVerified, never rely on assert, so they hold under python -O.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from localarc.arcs import (
     LocalArcFamily,
     NotVerified,
     TranslationLayout,
-    sample_verify,
+    sample_verify,  # noqa: F401  (perfbench's tracer rebinds this name)
     secants_of,
     verify_local_arc,
 )
@@ -69,11 +70,6 @@ __all__ = [
     "case3_lift",
     "best_construction",
 ]
-
-_FULL_LIMIT = 10_000
-_SAMPLES = 100_000
-_SEEDS = (0, 1, 2)
-
 
 class KTooLarge(ValueError):
     """No k-set fits inside the oval being partitioned."""
@@ -334,48 +330,38 @@ def _verified(fam: LocalArcFamily) -> LocalArcFamily:
     return fam
 
 
-def _accept(fam: LocalArcFamily, check: bool = True) -> LocalArcFamily:
-    if not check:
-        return fam
-    if fam.total_points <= _FULL_LIMIT:
-        _verified(fam)
-    else:
-        for seed in _SEEDS:
-            rep = sample_verify(fam, _SAMPLES, seed=seed)
-            if not rep.ok:
-                raise NotVerified(
-                    f"seed {seed}: " + rep.violation.describe(fam.plane)
-                )
-    return fam
+def _plan(plane: Plane, layout: TranslationLayout, k: int, expected: int,
+          provenance: str) -> LocalArcFamily:
+    """A lift before any set exists: the lazy family of its layout.
 
-
-def _translate_family(
-    plane: Plane,
-    base_coords,
-    us,
-    vs,
-    k: int,
-    expected: int,
-    provenance: str,
-    check: bool = True,
-) -> LocalArcFamily:
-    """All translates of the base sets by T = us x vs, one output set per
-    (tau, set).
-
-    Translations are taken in sorted (u, v) order and sets land
-    tau-major (the TranslationLayout order), so the output order is
-    reproducible; the family keeps the layout for verification.
+    NotVerified if the layout does not list `expected` sets, the lift's
+    closed form.
     """
-    layout = TranslationLayout(base_coords, tuple(sorted(us)),
-                               tuple(sorted(vs)))
-    fam = LocalArcFamily.translates(plane, layout, k=k, provenance=provenance)
-    if fam.n_sets != expected:
+    if len(layout) != expected:
         raise NotVerified(
-            f"enumerated {fam.n_sets} sets, closed form says {expected}"
+            f"layout lists {len(layout)} sets, closed form says {expected}"
         )
-    if len(set(fam.sets)) != fam.n_sets:
+    return LocalArcFamily.translates(plane, layout, k=k,
+                                     provenance=provenance, lazy=True)
+
+
+def _build(plan: LocalArcFamily, check: bool = True, lazy: bool = False
+           ) -> LocalArcFamily:
+    """The planned lift, materialised unless lazy, verified if check.
+
+    A materialised family must list each translate once.
+    """
+    fam = plan if lazy else LocalArcFamily.translates(
+        plan.plane, plan.translation, k=plan.k, provenance=plan.provenance)
+    if not lazy and len(set(fam.sets)) != fam.n_sets:
         raise NotVerified("translated sets collide")
-    return _accept(fam, check)
+    return _verified(fam) if check else fam
+
+
+def _sorted_layout(coords, us, vs) -> TranslationLayout:
+    """Translates by T = us x vs in sorted (u, v) order, so the set order
+    is reproducible."""
+    return TranslationLayout(coords, tuple(sorted(us)), tuple(sorted(vs)))
 
 
 def _affine_coords(fam: LocalArcFamily) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -456,7 +442,7 @@ def _lift_layout(p: int, seed_sets, params: LiftParams) -> TranslationLayout:
     radix = [len(A) if i % 2 == 0 else m for i in range(t)]
     # from the top digit place down: (place value of iv, digit values * m^i)
     places = [
-        (_prod(radix[:i]),
+        (math.prod(radix[:i]),
          tuple((A[d] if i % 2 == 0 else d) * m**i for d in range(radix[i])))
         for i in range(t - 1, -1, -1)
     ]
@@ -469,7 +455,7 @@ def _lift_layout(p: int, seed_sets, params: LiftParams) -> TranslationLayout:
         return v % p
 
     us = _Offsets(2 * B + 1, lambda iu: (iu - B) % p)
-    return TranslationLayout(base, us, _Offsets(_prod(radix), v_of))
+    return TranslationLayout(base, us, _Offsets(math.prod(radix), v_of))
 
 
 class _Offsets:
@@ -490,13 +476,6 @@ class _Offsets:
         return self.fn(i)
 
 
-def _prod(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
-
-
 def lift_prime(
     seed: GenericSeed,
     basis: SdfBasis,
@@ -512,33 +491,28 @@ def lift_prime(
     than one m^{t/2} gap, so if two seed sets are horizontal translates
     of each other at distance 1, their lifted copies collide and the
     verification step rejects the family.  Seeds with x-gaps >= 2
-    everywhere (generic_k_arc ones) are safe.  Families small enough are
-    materialized and verified exactly, by translation; larger ones stay
-    lazy and are sample-verified.  Either way the family carries its
-    translation layout.  A translated slice of the un-reduced integer
-    family is re-validated as a spot check.
+    everywhere (generic_k_arc ones) are safe.  The sets stay lazy at
+    every size, computed from the family's translation layout, which
+    verify_local_arc decides exactly.  A translated slice of the
+    un-reduced integer family is re-validated as a spot check.
     """
+    return _build(_plan_lift_prime(seed, basis, p), check, lazy=True)
+
+
+def _plan_lift_prime(seed: GenericSeed, basis: SdfBasis, p: int
+                     ) -> LocalArcFamily:
     verdict = validate_generic(seed.sets, seed.secants, seed.r)
     if not verdict.ok:
         raise ValueError(f"seed fails validation: {verdict.failures}")
     params = plan_lift(seed.r, basis, p)
-    field = make_field(p)
-    plane = make_plane(field, "planar")
     layout = _lift_layout(p, seed.sets, params)
-    expected = len(seed.sets) * params.n_translations
-    if len(layout) != expected:
-        raise NotVerified(
-            f"lift lists {len(layout)} sets, closed form says {expected}"
-        )
-    provenance = (
-        f"lift_prime(r={seed.r},m={basis.m},t={params.t},p={p})"
-    )
-    fam = LocalArcFamily.translates(
-        plane, layout, k=seed.k, provenance=provenance,
-        lazy=seed.k * expected > _FULL_LIMIT,
+    plan = _plan(
+        make_plane(make_field(p), "planar"), layout, seed.k,
+        len(seed.sets) * params.n_translations,
+        f"lift_prime(r={seed.r},m={basis.m},t={params.t},p={p})",
     )
     _remark_spot_check(seed, params, layout)
-    return _accept(fam, check)
+    return plan
 
 
 def _remark_spot_check(seed: GenericSeed, params: LiftParams,
@@ -579,6 +553,10 @@ def case1_lift(seed: LocalArcFamily, check: bool = True) -> LocalArcFamily:
     alpha is the canonical degree-2 generator, so the alpha-component of
     an incidence forces equal translations; set count multiplies by p.
     """
+    return _build(_plan_case1(seed), check)
+
+
+def _plan_case1(seed: LocalArcFamily) -> LocalArcFamily:
     _require_planar_affine(seed)
     field = seed.plane.field
     if field.m != 1:
@@ -592,9 +570,8 @@ def case1_lift(seed: LocalArcFamily, check: bool = True) -> LocalArcFamily:
     alpha = p  # encoding of the polynomial generator x
     vs = [up.mul(g1, alpha) for g1 in range(p)]
     note = (seed.provenance + "|" if seed.provenance else "") + f"case1(p={p})"
-    return _translate_family(
-        plane, coords, [0], vs, seed.k, seed.n_sets * p, note, check
-    )
+    return _plan(plane, _sorted_layout(coords, [0], vs), seed.k,
+                 seed.n_sets * p, note)
 
 
 def case2_lift(seed: LocalArcFamily, t: int, check: bool = True) -> LocalArcFamily:
@@ -606,6 +583,10 @@ def case2_lift(seed: LocalArcFamily, t: int, check: bool = True) -> LocalArcFami
     coefficients at even ones.  Count: p^{5(s-1)} per set for odd t,
     p^{5s-3} for even t.
     """
+    return _build(_plan_case2(seed, t), check)
+
+
+def _plan_case2(seed: LocalArcFamily, t: int) -> LocalArcFamily:
     if t < 2:
         raise NotTower(f"tower degree 2t needs t >= 2, got t = {t}")
     _require_planar_affine(seed)
@@ -632,8 +613,8 @@ def case2_lift(seed: LocalArcFamily, t: int, check: bool = True) -> LocalArcFami
     g_vals = _poly_values(tw, powers, g_alphabets)
     expected = seed.n_sets * (p ** (5 * (s - 1)) if t % 2 else p ** (5 * s - 3))
     note = (seed.provenance + "|" if seed.provenance else "") + f"case2(p={p},t={t})"
-    return _translate_family(plane, coords, f_vals, g_vals, seed.k, expected,
-                             note, check)
+    return _plan(plane, _sorted_layout(coords, f_vals, g_vals), seed.k,
+                 expected, note)
 
 
 def _poly_values(field: Field, powers, alphabets) -> list[int]:
@@ -701,8 +682,15 @@ def case3_lift(
     g(alpha)): f has coefficients in {1..floor(sqrt(p/M2))} at indices
     1..t-1; g has GF(p) coefficients at odd indices 1..m-1 and A at even
     ones, where A = sdf_subset(floor(p/M1)) unless an explicit alphabet
-    (validated only by the output check) is supplied.
+    is supplied.  An explicit alphabet must list distinct values in
+    [0, p) (ValueError otherwise); that it is square-difference-free is
+    left to the output check.
     """
+    return _build(_plan_case3(seed, m, M1, M2, alphabet), check)
+
+
+def _plan_case3(seed: LocalArcFamily, m: int, M1: float, M2: float,
+                alphabet=None) -> LocalArcFamily:
     if m < 3 or (m % 2 == 0 and m < 4):
         raise ValueError("extension degree m must be odd >= 3 or even >= 4")
     _require_planar_affine(seed)
@@ -722,6 +710,11 @@ def case3_lift(
     alphabet = tuple(sorted(alphabet))
     if not alphabet:
         raise EmptySdf("empty digit alphabet")
+    if len(set(alphabet)) != len(alphabet) or not (
+            0 <= alphabet[0] and alphabet[-1] < p):
+        raise ValueError(
+            f"alphabet {list(alphabet)} must list distinct values in [0, {p})"
+        )
 
     up = make_field(p, m)
     plane = make_plane(up, "planar")
@@ -747,8 +740,8 @@ def case3_lift(
     note = (seed.provenance + "|" if seed.provenance else "") + (
         f"case3(p={p},m={m},M1={M1:g},M2={M2:g},|A|={len(alphabet)})"
     )
-    return _translate_family(plane, coords, f_vals, g_vals, seed.k, expected,
-                             note, check)
+    return _plan(plane, _sorted_layout(coords, f_vals, g_vals), seed.k,
+                 expected, note)
 
 
 # ---------------------------------------------------------------------------
@@ -760,8 +753,9 @@ def best_construction(
     """Run every applicable construction and keep the largest verified one.
 
     The report maps branch names to set counts (or a skip reason), so the
-    winner is auditable.  Branches whose closed-form output would exceed
-    max_points are skipped rather than built.
+    winner is auditable.  A lift whose planned set count, its closed
+    form, puts more than max_points points in the family is skipped
+    before any of its sets is built.
     """
     p, m = factor_prime_power(q)
     if p == 2:
@@ -778,57 +772,28 @@ def best_construction(
         report[name] = fam.n_sets
         candidates.append(fam)
 
+    def lift(plan: LocalArcFamily, lazy: bool = False) -> LocalArcFamily:
+        if plan.total_points > max_points:
+            raise ValueError(
+                f"{plan.n_sets} sets exceed the {max_points}-point budget"
+            )
+        return _build(plan, lazy=lazy)
+
     consider("oval_partition", lambda: oval_partition(q, k))
-
     if m == 1:
-        def run_lift():
-            seed = generic_k_arc(k)
-            basis = SdfBasis(5, (0, 2))
-            params = plan_lift(seed.r, basis, p)  # PTooSmall if inadmissible
-            n = len(seed.sets) * params.n_translations
-            if n * k > max_points:
-                raise ValueError(f"{n} sets exceed the {max_points}-point budget")
-            return lift_prime(seed, basis, p)
-
-        consider("lift_prime", run_lift)
+        consider("lift_prime", lambda: lift(
+            _plan_lift_prime(generic_k_arc(k), SdfBasis(5, (0, 2)), p),
+            lazy=True))
     elif m == 2:
-        def run_case1():
-            seed = conic_partition_seed(p, k)
-            if seed.n_sets * p * k > max_points:
-                raise ValueError("output exceeds the point budget")
-            return case1_lift(seed)
-
-        consider("case1", run_case1)
+        consider("case1", lambda: lift(_plan_case1(conic_partition_seed(p, k))))
     else:
         if m % 2 == 0:
-            def run_case2():
-                t = m // 2
-                seed = case1_lift(conic_partition_seed(p, k))
-                s = (t + 1) // 2
-                factor = p ** (5 * (s - 1)) if t % 2 else p ** (5 * s - 3)
-                if seed.n_sets * factor * k > max_points:
-                    raise ValueError("output exceeds the point budget")
-                return case2_lift(seed, t)
-
-            consider("case2", run_case2)
+            consider("case2", lambda: lift(_plan_case2(
+                case1_lift(conic_partition_seed(p, k)), m // 2)))
 
         def run_case3():
-            t = (m - 1) // 2 if m % 2 else m // 2
-            M1, M2 = choose_M1_M2(t)
-            seed = conic_partition_seed(p, k)
-            n_a = int(p // M1)
-            if n_a < 1:
-                raise EmptySdf("p too small for an alphabet")
-            n_even = (m - 1) - sum(1 for i in range(1, m) if i % 2)
-            guess = (
-                seed.n_sets
-                * max(1, math.isqrt(int(p // M2))) ** (t - 1)
-                * p ** sum(1 for i in range(1, m) if i % 2)
-                * max(1, len(sdf_subset(n_a))) ** n_even
-            )
-            if guess * k > max_points:
-                raise ValueError("output exceeds the point budget")
-            return case3_lift(seed, m, M1, M2)
+            M1, M2 = choose_M1_M2((m - 1) // 2 if m % 2 else m // 2)
+            return lift(_plan_case3(conic_partition_seed(p, k), m, M1, M2))
 
         consider("case3", run_case3)
 

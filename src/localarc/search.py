@@ -336,11 +336,9 @@ def _dfs(
             low = cand & -cand
             cand ^= low
             s = low.bit_length() - 1
-            # ids below s are spoken for, so at most (n - s) // k more
-            # sets; the bound only tightens as s grows, so non-candidate
-            # ids need no test
-            if m + (n - s) // k <= state["best"]:
-                return
+            # ids below s are spoken for, so at most (free ids from s)
+            # // k more sets; the bound only tightens as s grows, so
+            # non-candidate ids need no test
             if m + (free >> s).bit_count() // k <= state["best"]:
                 return
             tick()

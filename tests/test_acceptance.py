@@ -267,6 +267,14 @@ def test_criterion_05_paper_scale_exact_verdict(paper_scale):
     assert report.violation.sets == (2, 1512901)
 
 
+def test_criterion_05_paper_scale_rejected_by_default_check():
+    # lift_prime's own check is the exact verdict, so it names the same
+    # pair on every run
+    p = _next_prime((5 * 5 + 3 * 5 + 1) * 205 * 205)
+    with pytest.raises(NotVerified, match=r"repeats in sets \[2, 1512901\]"):
+        lift_prime(EX1_SEED, BASIS_205, p)
+
+
 def test_criterion_05_paper_scale_deterministic_collision(paper_scale):
     p, fam = paper_scale
     params = plan_lift(5, BASIS_205, p)

@@ -241,6 +241,14 @@ def test_usage_errors_exit_2():
                 "--p", "13"]) == EXIT_USAGE  # missing --m
 
 
+@pytest.mark.parametrize("alphabet", ["1,100000", "-1,3", "1,30", "1,3,3"])
+def test_construct_case3_bad_alphabet_is_usage_error(alphabet, capsys):
+    assert run(["construct", "--method", "case3", "--p", "23", "--m", "3",
+                "--M1", "8", "--M2", "6",
+                f"--alphabet={alphabet}"]) == EXIT_USAGE
+    assert "distinct values in [0, 23)" in capsys.readouterr().err
+
+
 def test_workers_flag_is_gone():
     # the search engine is serial, so there is no --workers flag
     with pytest.raises(SystemExit) as exc:

@@ -365,6 +365,62 @@ def test_case3_rejects_bad_parameters():
         case3_lift(seed, 2, 8.0, 6.0)
 
 
+@pytest.mark.parametrize("alphabet", [
+    (1, 3, 3),  # a duplicate value
+    (1, 100000), (-1, 3), (1, 30), (1, 23),  # values outside [0, 23)
+])
+def test_case3_rejects_a_bad_alphabet(alphabet):
+    seed = conic_partition_seed(23, 2)
+    with pytest.raises(ValueError, match=r"distinct values in \[0, 23\)"):
+        case3_lift(seed, 3, 8.0, 6.0, alphabet=alphabet)
+
+
+def test_case3_alphabet_may_reach_both_ends_of_the_prime_field():
+    fam = case3_lift(conic_partition_seed(23, 2), 3, 8.0, 6.0,
+                     alphabet=(0, 22), check=False)
+    assert fam.n_sets == 11 * 23 * 2
+
+
+def test_default_check_keeps_the_249000_set_prime_lift_lazy():
+    # every lift is verified exactly from its layout, so the largest
+    # benchmark lift is accepted without materialising a set
+    fam = lift_prime(generic_k_arc(3), BASIS_5, 10000019)
+    assert fam.n_sets == 249000 and fam.k == 3
+    assert not isinstance(fam.sets, tuple)
+    assert fam.translation is not None
+
+
+def test_lift_prime_is_lazy_at_every_size():
+    fam = lift_prime(generic_k_arc(2), BASIS_5, 1777)
+    assert fam.n_sets == 90 and not isinstance(fam.sets, tuple)
+    assert len(set(fam.materialize())) == 90
+
+
+def test_best_construction_skips_case1_on_its_budget():
+    fam, report = best_construction(121, 2, max_points=100)
+    assert report == {
+        "oval_partition": 61,
+        "case1": "skipped (55 sets exceed the 100-point budget)",
+        "winner": "oval_partition(q=121,k=2)",
+    }
+    assert fam.n_sets == 61
+
+
+@pytest.mark.parametrize("q, report", [
+    (7, {"oval_partition": 4,
+         "lift_prime": "skipped (p = 7 is not above m^2 (r^2+3r+1) = 1775)",
+         "winner": "oval_partition(q=7,k=2)"}),
+    (121, {"oval_partition": 61, "case1": 55,
+           "winner": "oval_partition(q=121,k=2)"}),
+    (729, {"oval_partition": 365, "case2": 729,
+           "case3": "skipped (floor(sqrt(p/M2)) = 0 leaves no "
+                    "f-coefficients)",
+           "winner": "conic_seed(p=3,k=2)|case1(p=3)|case2(p=3,t=3)"}),
+])
+def test_best_construction_reports(q, report):
+    assert best_construction(q, 2)[1] == report
+
+
 def test_best_construction_oval_beats_case1_at_121():
     fam, report = best_construction(121, 2)
     assert report["oval_partition"] == 61

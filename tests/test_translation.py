@@ -128,7 +128,7 @@ def test_wide_window_lift_names_the_pinned_collision():
 
 
 def test_lazy_prime_lift_lists_every_translate():
-    # above the materialization limit the sets stay lazy; enumerated
+    # the prime lift's sets are lazy at every size; enumerated
     # straight from the lift's definition, in (u, v, seed set) order,
     # they are the family's sets, and the twin seed sets still collide
     p = 41 * 625 + 1
