@@ -188,14 +188,14 @@ class TranslationLayout:
 
     Set (iu * len(vs) + iv) * len(base) + si of the family is base[si]
     moved by (us[iu], vs[iv]): translation-major, u before v.  ``base``
-    holds affine (x, y) coordinates as field encodings of the family's
-    plane; ``us`` and ``vs`` are field encodings too, either may be a
-    lazy sequence, and an offset listed twice lists every set twice.
+    holds affine (x, y) coordinates and ``us`` and ``vs`` the offsets, all
+    as field encodings of the family's plane; an offset listed twice lists
+    every set twice.
     """
 
     base: tuple[tuple[tuple[int, int], ...], ...]
-    us: Sequence[int]
-    vs: Sequence[int]
+    us: tuple[int, ...]
+    vs: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.base) * len(self.us) * len(self.vs)
@@ -203,17 +203,12 @@ class TranslationLayout:
     def index(self, si: int, iu: int, iv: int) -> int:
         return (iu * len(self.vs) + iv) * len(self.base) + si
 
-    def translate(self, i: int, add, q: int) -> tuple[int, ...]:
-        """Set i as sorted point ids; the inverse of index()."""
-        ti, si = divmod(i, len(self.base))
-        iu, iv = divmod(ti, len(self.vs))
-        u, v = self.us[iu], self.vs[iv]
-        return tuple(sorted(add(x, u) * q + add(y, v)
-                            for x, y in self.base[si]))
-
 
 class _Translates:
-    """Lazy read-only sequence of the sets a TranslationLayout lists."""
+    """Lazy read-only sequence of the sets a TranslationLayout lists.
+
+    Item i is set i as sorted point ids, the inverse of layout.index().
+    """
 
     __slots__ = ("layout", "add", "q", "n")
 
@@ -231,7 +226,12 @@ class _Translates:
             i += self.n
         if not 0 <= i < self.n:
             raise IndexError(i)
-        return self.layout.translate(i, self.add, self.q)
+        lay, add, q = self.layout, self.add, self.q
+        ti, si = divmod(i, len(lay.base))
+        iu, iv = divmod(ti, len(lay.vs))
+        u, v = lay.us[iu], lay.vs[iv]
+        return tuple(sorted(add(x, u) * q + add(y, v)
+                            for x, y in lay.base[si]))
 
 
 class LocalArcFamily:
@@ -269,12 +269,12 @@ class LocalArcFamily:
 
     @classmethod
     def translates(cls, plane: Plane, layout: TranslationLayout,
-                   k: int | None = None, provenance: str = "",
-                   lazy: bool = False) -> LocalArcFamily:
+                   k: int | None = None, provenance: str = ""
+                   ) -> LocalArcFamily:
         """Every translate of layout.base, in the layout's order.
 
-        The sets are materialised unless ``lazy``; either way they are
-        computed from the layout, which the family keeps.
+        The sets are lazy: each is computed from the layout, which the
+        family keeps, when it is looked up.
         """
         if plane.kind != "planar":
             raise ValueError("a translation layout needs the planar "
@@ -283,10 +283,8 @@ class LocalArcFamily:
                    for s in layout.base for pt in s for c in pt):
             raise ValueError("layout base coordinates must be field "
                              "encodings")
-        sets = _Translates(plane, layout)
-        if not lazy:
-            sets = tuple(sets[i] for i in range(len(sets)))
-        fam = cls(plane, sets, k=k, provenance=provenance)
+        fam = cls(plane, _Translates(plane, layout), k=k,
+                  provenance=provenance)
         fam.translation = layout
         return fam
 

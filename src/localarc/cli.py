@@ -556,9 +556,6 @@ def run(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from_args(ns)
         return _DISPATCH[cfg.subcommand](cfg)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except NotVerified as exc:
         print(f"rejected: {exc}")
         return EXIT_REJECTED

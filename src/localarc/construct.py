@@ -12,14 +12,15 @@ Three layers:
   to GF(p^m) by translating it with carefully shaped polynomial tails.
 
 Every construction re-verifies its output exactly, with verify_local_arc
-(a lift skips this only when called with check=False).  The lifts list
-every translate of a base set family and attach that layout (a
-TranslationLayout), so their check runs on the base and the difference
-set T - T instead of a sweep over all point pairs, at any family size.
-Each lift first plans its layout and checks the layout's set count
-against its closed form, exactly and before any set exists;
-best_construction budgets from that count.  These checks raise
-NotVerified, never rely on assert, so they hold under python -O.
+(a lift skips this only when called with check=False).  Each lift is the
+lazy family of its TranslationLayout, every translate of a base set
+family: no set is built until it is looked up, and the check runs on the
+base and the difference set T - T instead of a sweep over all point
+pairs, at any family size, with no separate integer spot check.  Each
+lift first plans its layout and checks the layout's set count against its
+closed form, exactly and before any set exists; best_construction budgets
+from that count.  These checks raise NotVerified, never rely on assert,
+so they hold under python -O.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from localarc.gf import (
     make_field,
 )
 from localarc.plane import Plane, make_plane
-from localarc.sdf import SdfBasis, sdf_subset
+from localarc.sdf import SdfBasis, digit_construct, sdf_subset
 
 __all__ = [
     "KTooLarge",
@@ -332,30 +333,18 @@ def _verified(fam: LocalArcFamily) -> LocalArcFamily:
 
 def _plan(plane: Plane, layout: TranslationLayout, k: int, expected: int,
           provenance: str) -> LocalArcFamily:
-    """A lift before any set exists: the lazy family of its layout.
+    """A lift: the lazy family of its layout, before any set is built.
 
     NotVerified if the layout does not list `expected` sets, the lift's
-    closed form.
+    closed form.  A translate listed twice is left to the exact check,
+    which names it as an overlap.
     """
     if len(layout) != expected:
         raise NotVerified(
             f"layout lists {len(layout)} sets, closed form says {expected}"
         )
     return LocalArcFamily.translates(plane, layout, k=k,
-                                     provenance=provenance, lazy=True)
-
-
-def _build(plan: LocalArcFamily, check: bool = True, lazy: bool = False
-           ) -> LocalArcFamily:
-    """The planned lift, materialised unless lazy, verified if check.
-
-    A materialised family must list each translate once.
-    """
-    fam = plan if lazy else LocalArcFamily.translates(
-        plan.plane, plan.translation, k=plan.k, provenance=plan.provenance)
-    if not lazy and len(set(fam.sets)) != fam.n_sets:
-        raise NotVerified("translated sets collide")
-    return _verified(fam) if check else fam
+                                     provenance=provenance)
 
 
 def _sorted_layout(coords, us, vs) -> TranslationLayout:
@@ -430,50 +419,17 @@ def _lift_layout(p: int, seed_sets, params: LiftParams) -> TranslationLayout:
 
     Seed point (x, y) scales to (x m^(t/2), y m^t); x-offsets run over
     [-B, B] and y-offsets over the SDF digit values, both ascending, so
-    set order is canonical.  The offsets are lazy: the family never
-    materializes them.
+    set order is canonical.
     """
-    m, A, t, B = params.basis.m, params.basis.A, params.t, params.B
+    m, t, B = params.basis.m, params.t, params.B
     mt2 = m ** (t // 2)
     mt = mt2 * mt2
     base = tuple(
         tuple(((x * mt2) % p, (y * mt) % p) for x, y in s) for s in seed_sets
     )
-    radix = [len(A) if i % 2 == 0 else m for i in range(t)]
-    # from the top digit place down: (place value of iv, digit values * m^i)
-    places = [
-        (math.prod(radix[:i]),
-         tuple((A[d] if i % 2 == 0 else d) * m**i for d in range(radix[i])))
-        for i in range(t - 1, -1, -1)
-    ]
-
-    def v_of(iv: int) -> int:
-        v = 0
-        for place, values in places:
-            di, iv = divmod(iv, place)
-            v += values[di]
-        return v % p
-
-    us = _Offsets(2 * B + 1, lambda iu: (iu - B) % p)
-    return TranslationLayout(base, us, _Offsets(math.prod(radix), v_of))
-
-
-class _Offsets:
-    """Lazy read-only sequence whose item i is fn(i)."""
-
-    __slots__ = ("n", "fn")
-
-    def __init__(self, n: int, fn):
-        self.n = n
-        self.fn = fn
-
-    def __len__(self):
-        return self.n
-
-    def __getitem__(self, i: int):
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return self.fn(i)
+    us = tuple(u % p for u in range(-B, B + 1))
+    return TranslationLayout(base, us,
+                             tuple(sorted(digit_construct(params.basis, t))))
 
 
 def lift_prime(
@@ -491,12 +447,12 @@ def lift_prime(
     than one m^{t/2} gap, so if two seed sets are horizontal translates
     of each other at distance 1, their lifted copies collide and the
     verification step rejects the family.  Seeds with x-gaps >= 2
-    everywhere (generic_k_arc ones) are safe.  The sets stay lazy at
-    every size, computed from the family's translation layout, which
-    verify_local_arc decides exactly.  A translated slice of the
-    un-reduced integer family is re-validated as a spot check.
+    everywhere (generic_k_arc ones) are safe.  Like every lift, the
+    sets are lazy, computed from the family's translation layout, which
+    verify_local_arc decides exactly.
     """
-    return _build(_plan_lift_prime(seed, basis, p), check, lazy=True)
+    plan = _plan_lift_prime(seed, basis, p)
+    return _verified(plan) if check else plan
 
 
 def _plan_lift_prime(seed: GenericSeed, basis: SdfBasis, p: int
@@ -505,38 +461,12 @@ def _plan_lift_prime(seed: GenericSeed, basis: SdfBasis, p: int
     if not verdict.ok:
         raise ValueError(f"seed fails validation: {verdict.failures}")
     params = plan_lift(seed.r, basis, p)
-    layout = _lift_layout(p, seed.sets, params)
-    plan = _plan(
-        make_plane(make_field(p), "planar"), layout, seed.k,
+    return _plan(
+        make_plane(make_field(p), "planar"),
+        _lift_layout(p, seed.sets, params), seed.k,
         len(seed.sets) * params.n_translations,
         f"lift_prime(r={seed.r},m={basis.m},t={params.t},p={p})",
     )
-    _remark_spot_check(seed, params, layout)
-    return plan
-
-
-def _remark_spot_check(seed: GenericSeed, params: LiftParams,
-                       layout: TranslationLayout):
-    """The integer (un-reduced) lift of a few translations is generic.
-
-    Translations may shift x negatively, so the slice is moved right by
-    B, which preserves every (x-a) difference: x-offset index iu is the
-    shift iu - B + B.  The y-offsets are below m^t < p, so unreduced.
-    """
-    m, t, p = params.basis.m, params.t, params.p
-    mt2, mt = m ** (t // 2), m**t
-    n_tau = params.n_translations
-    picks = sorted({0, n_tau // 2, n_tau - 1})
-    z_sets, z_lines = [], []
-    for ti in picks:
-        iu, iv = divmod(ti, len(layout.vs))
-        v = layout.vs[iv]
-        for s, l in zip(seed.sets, seed.secants):
-            z_sets.append(tuple((x * mt2 + iu, y * mt + v) for x, y in s))
-            z_lines.append(tuple((a * mt2 + iu, b * mt + v) for a, b in l))
-    verdict = validate_generic(tuple(z_sets), tuple(z_lines), p)
-    if not verdict.ok:
-        raise NotVerified(f"integer lift lost genericity: {verdict.failures}")
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +483,8 @@ def case1_lift(seed: LocalArcFamily, check: bool = True) -> LocalArcFamily:
     alpha is the canonical degree-2 generator, so the alpha-component of
     an incidence forces equal translations; set count multiplies by p.
     """
-    return _build(_plan_case1(seed), check)
+    plan = _plan_case1(seed)
+    return _verified(plan) if check else plan
 
 
 def _plan_case1(seed: LocalArcFamily) -> LocalArcFamily:
@@ -583,7 +514,8 @@ def case2_lift(seed: LocalArcFamily, t: int, check: bool = True) -> LocalArcFami
     coefficients at even ones.  Count: p^{5(s-1)} per set for odd t,
     p^{5s-3} for even t.
     """
-    return _build(_plan_case2(seed, t), check)
+    plan = _plan_case2(seed, t)
+    return _verified(plan) if check else plan
 
 
 def _plan_case2(seed: LocalArcFamily, t: int) -> LocalArcFamily:
@@ -686,7 +618,8 @@ def case3_lift(
     [0, p) (ValueError otherwise); that it is square-difference-free is
     left to the output check.
     """
-    return _build(_plan_case3(seed, m, M1, M2, alphabet), check)
+    plan = _plan_case3(seed, m, M1, M2, alphabet)
+    return _verified(plan) if check else plan
 
 
 def _plan_case3(seed: LocalArcFamily, m: int, M1: float, M2: float,
@@ -772,18 +705,17 @@ def best_construction(
         report[name] = fam.n_sets
         candidates.append(fam)
 
-    def lift(plan: LocalArcFamily, lazy: bool = False) -> LocalArcFamily:
+    def lift(plan: LocalArcFamily) -> LocalArcFamily:
         if plan.total_points > max_points:
             raise ValueError(
                 f"{plan.n_sets} sets exceed the {max_points}-point budget"
             )
-        return _build(plan, lazy=lazy)
+        return _verified(plan)
 
     consider("oval_partition", lambda: oval_partition(q, k))
     if m == 1:
         consider("lift_prime", lambda: lift(
-            _plan_lift_prime(generic_k_arc(k), SdfBasis(5, (0, 2)), p),
-            lazy=True))
+            _plan_lift_prime(generic_k_arc(k), SdfBasis(5, (0, 2)), p)))
     elif m == 2:
         consider("case1", lambda: lift(_plan_case1(conic_partition_seed(p, k))))
     else:

@@ -107,11 +107,7 @@ def digit_construct(basis: SdfBasis, t: int) -> set[int]:
     if t < 2 or t % 2:
         raise ValueError("digit count t must be even and at least 2")
     m, A = basis.m, basis.A
-    out = {0}
-    for i in range(t):
-        alphabet = A if i % 2 == 0 else range(m)
-        scale = m**i
-        out = {x + d * scale for x in out for d in alphabet}
+    out = set(_bounded_digits(basis, t, m**t - 1))
     if len(out) != len(A) ** (t // 2) * m ** (t // 2):
         raise RuntimeError(f"digit construction gave {len(out)} integers, "
                            f"not |A|^(t/2) m^(t/2)")
@@ -191,21 +187,13 @@ def sdf_subset(N: int, method: str | None = None,
 
 
 def _bounded_digits(basis: SdfBasis, t: int, limit: int) -> list[int]:
-    """digit_construct(basis, t) restricted to values <= limit, built
-    top digit first so out-of-range branches are cut early."""
+    """The digit values of digit_construct(basis, t) that are <= limit,
+    ascending; built top digit first, so out-of-range prefixes are cut
+    early."""
     m, A = basis.m, basis.A
-    out: list[int] = []
-
-    def rec(i: int, acc: int):
-        if i < 0:
-            out.append(acc)
-            return
+    out = [0]
+    for i in range(t - 1, -1, -1):
         scale = m**i
-        for d in (A if i % 2 == 0 else range(m)):
-            v = acc + d * scale
-            if v > limit:
-                break
-            rec(i - 1, v)
-
-    rec(t - 1, 0)
+        digits = A if i % 2 == 0 else range(m)
+        out = [v for x in out for d in digits if (v := x + d * scale) <= limit]
     return out

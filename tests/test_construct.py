@@ -1,6 +1,8 @@
 """Construction layer: seeds, digit lifting, extension liftings."""
 
 import ast
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -10,7 +12,14 @@ import pytest
 
 import localarc
 
-from localarc.arcs import LocalArcFamily, NotVerified, secants_of, verify_local_arc
+from localarc.arcs import (
+    LocalArcFamily,
+    NotVerified,
+    family_to_dict,
+    secants_of,
+    verify_local_arc,
+)
+from localarc.cli import EXIT_OK, EXIT_REJECTED, run
 from localarc.construct import (
     EmptySdf,
     GenericSeed,
@@ -394,6 +403,60 @@ def test_lift_prime_is_lazy_at_every_size():
     fam = lift_prime(generic_k_arc(2), BASIS_5, 1777)
     assert fam.n_sets == 90 and not isinstance(fam.sets, tuple)
     assert len(set(fam.materialize())) == 90
+
+
+# ---------------------------------------------------------------------------
+# every lift is the lazy family of its translation layout
+
+def _digest(fam) -> str:
+    text = json.dumps([list(s) for s in fam])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("build, n_sets, digest", [
+    (lambda: case1_lift(conic_partition_seed(11, 2)), 55,
+     "f1559b59ab089121"),
+    (lambda: case2_lift(case1_lift(column_pair_seed(5)), 2), 625,
+     "a523ed3c07ec339a"),
+    (lambda: case3_lift(conic_partition_seed(23, 2), 3, 8.0, 6.0,
+                        alphabet=(1, 3)), 506, "eba533e0e4028520"),
+    (lambda: lift_prime(generic_k_arc(2), BASIS_5, 1777), 90,
+     "0cd639f8097fc63b"),
+], ids=["case1-p11", "case2-t2", "case3-p23", "lift-prime-p1777"])
+def test_every_lift_lists_its_pinned_sets_lazily(build, n_sets, digest):
+    # the sets and their order are pinned by a digest of the set list
+    fam = build()
+    assert fam.n_sets == n_sets and fam.translation is not None
+    assert not isinstance(fam.sets, tuple)
+    assert _digest(fam) == digest
+
+
+TWICE_LISTED = "point ([0,0],[0,0]) repeats in sets [0, 1]"
+
+
+def _twice_listed_conic_pair() -> LocalArcFamily:
+    seed = conic_partition_seed(11, 2)
+    return LocalArcFamily(seed.plane, [seed.sets[0], seed.sets[0]], k=2)
+
+
+def test_a_seed_set_listed_twice_is_an_overlap_of_its_lift():
+    # a repeated translate is an overlap, named by the exact check
+    dup = _twice_listed_conic_pair()
+    with pytest.raises(NotVerified) as exc:
+        case1_lift(dup)
+    assert str(exc.value) == TWICE_LISTED
+    fam = case1_lift(dup, check=False)
+    assert fam.n_sets == 22 and len(set(fam.materialize())) == 11
+
+
+def test_construct_case1_names_a_seed_set_listed_twice(tmp_path, capsys):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(family_to_dict(_twice_listed_conic_pair())))
+    argv = ["construct", "--method", "case1", "--seed-file", str(path)]
+    assert run(argv) == EXIT_REJECTED
+    assert capsys.readouterr().out == f"rejected: {TWICE_LISTED}\n"
+    assert run(argv + ["--verify", "none"]) == EXIT_OK
+    assert "sets=22" in capsys.readouterr().out
 
 
 def test_best_construction_skips_case1_on_its_budget():

@@ -24,7 +24,6 @@ from localarc.arcs import (
 from localarc.construct import (
     GenericSeed,
     NonAffineSeed,
-    NotVerified,
     case1_lift,
     case2_lift,
     case3_lift,
@@ -264,8 +263,8 @@ def test_translation_matches_sweep_on_random_lifts():
     while len(outcomes) < 600:
         try:
             fam = rng.choice(makers)(rng)
-        except (NonAffineSeed, NotAnArc, NotVerified):
-            continue  # seeds the lifts refuse, or sets listed twice
+        except (NonAffineSeed, NotAnArc):
+            continue  # seeds the lifts refuse
         if fam is None:
             continue
         rep = assert_matches_sweep(fam)
