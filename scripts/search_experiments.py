@@ -14,11 +14,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from localarc.search import exact_max, SearchConfig
+from localarc.search import exact_max
 
 
 def run_cell(q: int, k: int, budget: float | None, cap: int | None = None) -> None:
-    res = exact_max(SearchConfig(q, k, budget=budget, cap=cap))
+    res = exact_max(q, k, budget=budget, cap=cap)
     tag = "proved" if res.optimal else "lower bound"
     print(f"q={q} k={k}: {res.num_sets} sets ({tag})  "
           f"nodes={res.nodes} cap={res.cap} elapsed={res.elapsed:.2f}s",

@@ -57,7 +57,6 @@ from localarc.construct import (
     validate_generic,
 )
 from localarc.search import (
-    SearchConfig,
     SearchResult,
     check_certificate,
     emit_ilp,

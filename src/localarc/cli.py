@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .arcs import (
     LocalArcFamily,
@@ -27,7 +26,6 @@ from .construct import (
     case1_lift,
     case2_lift,
     case3_lift,
-    choose_M1_M2,
     conic_partition_seed,
     generic_k_arc,
     lift_prime,
@@ -38,7 +36,6 @@ from .construct import (
 )
 from .sdf import SdfBasis, is_sdf_mod, max_sdf_bruteforce, sdf_subset
 from .search import (
-    SearchConfig,
     check_certificate,
     emit_ilp,
     exact_max,
@@ -58,61 +55,17 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Validated parameters of one CLI invocation."""
-
-    subcommand: str
-    q: int | None = None
-    p: int | None = None
-    m: int | None = None
-    t: int | None = None
-    k: int | None = None
-    method: str | None = None
-    basis: tuple[int, tuple[int, ...]] | None = None
-    verify_mode: str = "full"
-    seed: int | None = None
-    budget: float | None = None
-    in_path: str | None = None
-    out_path: str | None = None
-    fmt: str = "text"
-    cap: int | None = None
-    symmetry: str | None = None
-    emit_lp: str | None = None
-    certificate: str | None = None
-    fix_first: bool = False
-    m1: float | None = None
-    m2: float | None = None
-    alphabet: tuple[int, ...] | None = None
-    elements: tuple[int, ...] | None = None
-    modulus: int | None = None
-    n: int | None = None
-    sdf_action: str | None = None
-    qs: tuple[int, ...] | None = None
-    ks: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.fmt not in _FORMATS:
-            raise UsageError(f"format must be one of {_FORMATS}")
-        if self.method is not None and self.method not in _METHODS:
-            raise UsageError(f"--method must be one of {_METHODS}")
-        if self.verify_mode != "full" and self.verify_mode != "none" \
-                and not self.verify_mode.startswith("sample:"):
-            raise UsageError(
-                "--verify must be full, none, or sample:COUNT:SEED")
-
-
-def _parse_basis(text: str) -> tuple[int, tuple[int, ...]]:
+def _parse_basis(text: str) -> SdfBasis:
     # "--basis 5,0,2" means digits base 5 with alphabet {0, 2}
     parts = text.split(",")
     if len(parts) < 2:
         raise UsageError("--basis needs a base and at least one digit")
     try:
         m = int(parts[0])
-        digits = tuple(sorted(int(x) for x in parts[1:]))
+        digits = tuple(int(x) for x in parts[1:])
     except ValueError as exc:
         raise UsageError(f"bad --basis value: {exc}") from exc
-    return m, digits
+    return SdfBasis(m, digits)
 
 
 def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
@@ -158,18 +111,19 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _emit_family(cfg: RunConfig, fam: LocalArcFamily, note: str) -> None:
-    if cfg.out_path:
-        _write_text(cfg.out_path,
+def _emit_family(ns: argparse.Namespace, fam: LocalArcFamily,
+                 note: str) -> None:
+    if ns.out_path:
+        _write_text(ns.out_path,
                     json.dumps(family_to_dict(fam), indent=1) + "\n")
-    if cfg.fmt == "json":
+    if ns.fmt == "json":
         print(json.dumps({
             "q": fam.plane.q,
             "num_sets": fam.n_sets,
             "k": fam.k,
             "provenance": fam.provenance,
             "verification": note,
-            "out": cfg.out_path,
+            "out": ns.out_path,
         }))
     else:
         print(f"q={fam.plane.q} sets={fam.n_sets} k={fam.k} "
@@ -180,87 +134,79 @@ def _emit_family(cfg: RunConfig, fam: LocalArcFamily, note: str) -> None:
 # subcommands
 
 
-def _cmd_construct(cfg: RunConfig) -> int:
-    method = cfg.method or "best"
+def _cmd_construct(ns: argparse.Namespace) -> int:
+    method = ns.method
     check = False  # verification is applied once, per --verify
 
     if method == "oval":
-        if cfg.q is None or cfg.k is None:
+        if ns.q is None or ns.k is None:
             raise UsageError("oval needs --q and --k")
-        fam = oval_partition(cfg.q, cfg.k)
+        fam = oval_partition(ns.q, ns.k)
     elif method == "generic":
-        if cfg.k is None:
+        if ns.k is None:
             raise UsageError("generic needs --k")
-        seed = generic_k_arc(cfg.k)
+        seed = generic_k_arc(ns.k)
         fam = seed.as_family()
     elif method == "lift-prime":
-        if cfg.p is None or cfg.basis is None:
+        if ns.p is None or ns.basis is None:
             raise UsageError("lift-prime needs --p and --basis")
-        if cfg.in_path:
-            seed = seed_from_dict(_load_json(cfg.in_path))
-        elif cfg.k is not None:
-            seed = generic_k_arc(cfg.k)
+        if ns.in_path:
+            seed = seed_from_dict(_load_json(ns.in_path))
+        elif ns.k is not None:
+            seed = generic_k_arc(ns.k)
         else:
             raise UsageError("lift-prime needs --seed-file or --k")
-        basis = SdfBasis(cfg.basis[0], frozenset(cfg.basis[1]))
-        fam = lift_prime(seed, basis, cfg.p, check=check)
+        fam = lift_prime(seed, ns.basis, ns.p, check=check)
     elif method == "case1":
-        if cfg.in_path:
-            base = family_from_dict(_load_json(cfg.in_path))
-        elif cfg.p is not None:
-            base = conic_partition_seed(cfg.p, cfg.k or 2)
+        if ns.in_path:
+            base = family_from_dict(_load_json(ns.in_path))
+        elif ns.p is not None:
+            base = conic_partition_seed(ns.p, ns.k or 2)
         else:
             raise UsageError("case1 needs --seed-file or --p")
         fam = case1_lift(base, check=check)
     elif method == "case2":
-        if cfg.t is None:
+        if ns.t is None:
             raise UsageError("case2 needs --t")
-        if cfg.in_path:
-            base = family_from_dict(_load_json(cfg.in_path))
-        elif cfg.p is not None:
-            base = case1_lift(conic_partition_seed(cfg.p, cfg.k or 2),
+        if ns.in_path:
+            base = family_from_dict(_load_json(ns.in_path))
+        elif ns.p is not None:
+            base = case1_lift(conic_partition_seed(ns.p, ns.k or 2),
                               check=False)
         else:
             raise UsageError("case2 needs --seed-file or --p")
-        fam = case2_lift(base, cfg.t, check=check)
+        fam = case2_lift(base, ns.t, check=check)
     elif method == "case3":
-        if cfg.m is None:
+        if ns.m is None:
             raise UsageError("case3 needs --m")
-        if cfg.in_path:
-            base = family_from_dict(_load_json(cfg.in_path))
-        elif cfg.p is not None:
-            base = conic_partition_seed(cfg.p, cfg.k or 2)
+        if ns.in_path:
+            base = family_from_dict(_load_json(ns.in_path))
+        elif ns.p is not None:
+            base = conic_partition_seed(ns.p, ns.k or 2)
         else:
             raise UsageError("case3 needs --seed-file or --p")
-        if cfg.m1 is not None and cfg.m2 is not None:
-            m1, m2 = cfg.m1, cfg.m2
-        else:
-            t = (cfg.m - 1) // 2 if cfg.m % 2 else cfg.m // 2
-            m1, m2 = choose_M1_M2(max(t, 1))
-        fam = case3_lift(base, cfg.m, m1, m2, alphabet=cfg.alphabet,
+        fam = case3_lift(base, ns.m, ns.m1, ns.m2, alphabet=ns.alphabet,
                          check=check)
     else:  # best
-        if cfg.q is None or cfg.k is None:
+        if ns.q is None or ns.k is None:
             raise UsageError("best needs --q and --k")
-        fam, report = best_construction(cfg.q, cfg.k)
-        if cfg.fmt == "text":
+        fam, report = best_construction(ns.q, ns.k)
+        if ns.fmt == "text":
             for branch, outcome in report.items():
                 print(f"# {branch}: {outcome}")
 
-    note = _apply_verification(fam, cfg.verify_mode)
-    _emit_family(cfg, fam, note)
+    note = _apply_verification(fam, ns.verify_mode)
+    _emit_family(ns, fam, note)
     return EXIT_OK
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    if not cfg.in_path:
-        raise UsageError("verify needs --in")
-    data = _load_json(cfg.in_path)
+def _cmd_verify(ns: argparse.Namespace) -> int:
+    data = _load_json(ns.in_path)
     if "secants" in data and "r" in data:
         # integer seed: run the three-condition check
         seed = seed_from_dict(data)
         verdict = validate_generic(seed.sets, seed.secants, seed.r)
-        if cfg.fmt == "json":
+        if ns.fmt == "json":
             print(json.dumps({
                 "ok": verdict.ok, "cond_a": verdict.cond_a,
                 "cond_b": verdict.cond_b, "cond_c": verdict.cond_c,
@@ -275,11 +221,11 @@ def _cmd_verify(cfg: RunConfig) -> int:
         return EXIT_OK if verdict.ok else EXIT_REJECTED
     fam = family_from_dict(data)
     try:
-        note = _apply_verification(fam, cfg.verify_mode)
+        note = _apply_verification(fam, ns.verify_mode)
     except NotVerified as exc:
         print(f"rejected: {exc}")
         return EXIT_REJECTED
-    if cfg.fmt == "json":
+    if ns.fmt == "json":
         print(json.dumps({"ok": True, "q": fam.plane.q,
                           "num_sets": fam.n_sets, "k": fam.k,
                           "verification": note}))
@@ -289,15 +235,13 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_bound(cfg: RunConfig) -> int:
-    if cfg.q is None or cfg.k is None:
-        raise UsageError("bound needs --q and --k")
-    triv = trivial_upper(cfg.q)
-    eml = eml_upper(cfg.k, cfg.q)
-    fftc_sets = fftc_upper(cfg.q).sets if cfg.k == 4 else None
+def _cmd_bound(ns: argparse.Namespace) -> int:
+    triv = trivial_upper(ns.q)
+    eml = eml_upper(ns.k, ns.q)
+    fftc_sets = fftc_upper(ns.q).sets if ns.k == 4 else None
     row = {
-        "q": cfg.q,
-        "k": cfg.k,
+        "q": ns.q,
+        "k": ns.k,
         "trivial_points": triv.sets,
         "fftc_sets": fftc_sets,
         "eml_sets": eml.sets,
@@ -305,7 +249,7 @@ def _cmd_bound(cfg: RunConfig) -> int:
     }
     best = min(v for v in (fftc_sets, eml.sets) if v is not None)
     row["min_sets"] = best
-    if cfg.fmt == "json":
+    if ns.fmt == "json":
         print(json.dumps(row))
     else:
         cols = ["q", "k", "trivial_points", "fftc_sets", "eml_sets",
@@ -316,94 +260,76 @@ def _cmd_bound(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_search(cfg: RunConfig) -> int:
-    if cfg.q is None or cfg.k is None:
-        raise UsageError("search needs --q and --k")
-    scfg = SearchConfig(q=cfg.q, k=cfg.k, budget=cfg.budget,
-                        symmetry=cfg.symmetry, cap=cfg.cap)
-    res = exact_max(scfg)
-    if cfg.emit_lp:
-        _write_text(cfg.emit_lp, emit_ilp(cfg.q, cfg.k, cfg.cap,
-                                          fix_first=cfg.fix_first))
-    if cfg.certificate and res.certificate is not None:
-        _write_text(cfg.certificate,
+def _cmd_search(ns: argparse.Namespace) -> int:
+    res = exact_max(ns.q, ns.k, budget=ns.budget, symmetry=ns.symmetry,
+                    cap=ns.cap)
+    if ns.emit_lp:
+        _write_text(ns.emit_lp, emit_ilp(ns.q, ns.k, ns.cap,
+                                         fix_first=ns.fix_first))
+    if ns.certificate and res.certificate is not None:
+        _write_text(ns.certificate,
                     json.dumps(family_to_dict(res.certificate),
                                indent=1) + "\n")
-    if cfg.fmt == "json":
+    if ns.fmt == "json":
         print(json.dumps({
-            "q": cfg.q, "k": cfg.k, "found": res.num_sets,
+            "q": ns.q, "k": ns.k, "found": res.num_sets,
             "optimal": res.optimal, "nodes": res.nodes,
             "cap": res.cap, "elapsed_seconds": round(res.elapsed, 3)}))
     else:
-        print(f"q={cfg.q} k={cfg.k} found={res.num_sets} "
+        print(f"q={ns.q} k={ns.k} found={res.num_sets} "
               f"optimal={res.optimal} nodes={res.nodes} cap={res.cap} "
               f"elapsed={res.elapsed:.3f}s")
     return EXIT_OK
 
 
-def _cmd_sdf(cfg: RunConfig) -> int:
-    if cfg.sdf_action == "verify":
-        if cfg.elements is None or cfg.modulus is None:
-            raise UsageError("sdf verify needs --elements and --mod")
-        ok = is_sdf_mod(set(cfg.elements), cfg.modulus)
-        if cfg.fmt == "json":
-            print(json.dumps({"modulus": cfg.modulus, "ok": ok,
-                              "size": len(set(cfg.elements))}))
+def _cmd_sdf(ns: argparse.Namespace) -> int:
+    if ns.sdf_action == "verify":
+        ok = is_sdf_mod(set(ns.elements), ns.modulus)
+        if ns.fmt == "json":
+            print(json.dumps({"modulus": ns.modulus, "ok": ok,
+                              "size": len(set(ns.elements))}))
         else:
-            print(f"mod {cfg.modulus}: "
+            print(f"mod {ns.modulus}: "
                   f"{'square-difference-free' if ok else 'rejected'}")
         return EXIT_OK if ok else EXIT_REJECTED
-    if cfg.sdf_action == "build":
-        if cfg.n is None:
-            raise UsageError("sdf build needs --n")
-        basis = None
-        if cfg.basis is not None:
-            basis = SdfBasis(cfg.basis[0], frozenset(cfg.basis[1]))
-        subset = sorted(sdf_subset(cfg.n, basis=basis))
-        if cfg.fmt == "json":
-            print(json.dumps({"n": cfg.n, "size": len(subset),
+    if ns.sdf_action == "build":
+        subset = sorted(sdf_subset(ns.n, basis=ns.basis))
+        if ns.fmt == "json":
+            print(json.dumps({"n": ns.n, "size": len(subset),
                               "elements": subset}))
         else:
-            print(f"n={cfg.n} size={len(subset)}")
+            print(f"n={ns.n} size={len(subset)}")
             print(",".join(map(str, subset)))
         return EXIT_OK
-    if cfg.sdf_action == "max":
-        if cfg.n is None:
-            raise UsageError("sdf max needs --n")
-        size, witness = max_sdf_bruteforce(cfg.n)
-        if cfg.fmt == "json":
-            print(json.dumps({"n": cfg.n, "size": size,
-                              "elements": list(witness)}))
-        else:
-            print(f"n={cfg.n} max={size}")
-            print(",".join(map(str, witness)))
-        return EXIT_OK
-    raise UsageError("sdf needs an action: verify, build, or max")
+    size, witness = max_sdf_bruteforce(ns.n)  # max
+    if ns.fmt == "json":
+        print(json.dumps({"n": ns.n, "size": size,
+                          "elements": list(witness)}))
+    else:
+        print(f"n={ns.n} max={size}")
+        print(",".join(map(str, witness)))
+    return EXIT_OK
 
 
-def _cmd_ilp_export(cfg: RunConfig) -> int:
-    if cfg.q is None or cfg.k is None:
-        raise UsageError("ilp-export needs --q and --k")
-    text = emit_ilp(cfg.q, cfg.k, cfg.cap, fix_first=cfg.fix_first)
+def _cmd_ilp_export(ns: argparse.Namespace) -> int:
+    text = emit_ilp(ns.q, ns.k, ns.cap, fix_first=ns.fix_first)
     _, rows, binaries = parse_lp(text)
-    if cfg.out_path:
-        _write_text(cfg.out_path, text)
-        print(f"wrote {cfg.out_path}: {len(binaries)} binary variables, "
+    if ns.out_path:
+        _write_text(ns.out_path, text)
+        print(f"wrote {ns.out_path}: {len(binaries)} binary variables, "
               f"{len(rows)} rows")
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
-def _cmd_lrc_params(cfg: RunConfig) -> int:
-    if not cfg.in_path:
-        raise UsageError("lrc-params needs --in")
-    fam = family_from_dict(_load_json(cfg.in_path))
+def _cmd_lrc_params(ns: argparse.Namespace) -> int:
+    fam = family_from_dict(_load_json(ns.in_path))
     try:
         params = lrc_params(fam)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if cfg.fmt == "json":
+    if ns.fmt == "json":
         print(json.dumps({"n": params.n, "k": params.dim, "d": params.d,
                           "r": params.locality, "q": params.q,
                           "singleton_optimal": params.singleton_optimal}))
@@ -413,9 +339,9 @@ def _cmd_lrc_params(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_table(cfg: RunConfig) -> int:
-    results = reproduce_table(cfg.qs, cfg.ks, budget=cfg.budget)
-    if cfg.fmt == "json":
+def _cmd_table(ns: argparse.Namespace) -> int:
+    results = reproduce_table(ns.qs, ns.ks, budget=ns.budget)
+    if ns.fmt == "json":
         print(json.dumps([{
             "q": r.q, "k": r.k, "found": r.found, "optimal": r.optimal,
             "reference": r.ref_value, "reference_exact": r.ref_exact,
@@ -520,24 +446,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    kw = {}
-    for f in RunConfig.__dataclass_fields__:
-        if hasattr(ns, f):
-            kw[f] = getattr(ns, f)
-    if kw.get("basis") is not None:
-        kw["basis"] = _parse_basis(kw["basis"])
-    if kw.get("alphabet") is not None:
-        kw["alphabet"] = _parse_ints(kw["alphabet"], "--alphabet")
-    if kw.get("elements") is not None:
-        kw["elements"] = _parse_ints(kw["elements"], "--elements")
-    if kw.get("qs") is not None:
-        kw["qs"] = _parse_ints(kw["qs"], "--q")
-    if kw.get("ks") is not None:
-        kw["ks"] = _parse_ints(kw["ks"], "--k")
-    return RunConfig(**kw)
-
-
 _DISPATCH = {
     "construct": _cmd_construct,
     "verify": _cmd_verify,
@@ -550,12 +458,29 @@ _DISPATCH = {
 }
 
 
+def _prepare(ns: argparse.Namespace) -> None:
+    """Check the verification mode and parse the list flags, in place."""
+    mode = getattr(ns, "verify_mode", "full")
+    if ns.subcommand == "construct":
+        if mode not in ("full", "none") and not mode.startswith("sample:"):
+            raise UsageError(
+                "--verify must be full, none, or sample:COUNT:SEED")
+    elif mode != "full" and not mode.startswith("sample:"):
+        raise UsageError("--mode must be full or sample:COUNT:SEED")
+    if getattr(ns, "basis", None) is not None:
+        ns.basis = _parse_basis(ns.basis)
+    for dest, flag in (("alphabet", "--alphabet"), ("elements", "--elements"),
+                       ("qs", "--q"), ("ks", "--k")):
+        if getattr(ns, dest, None) is not None:
+            setattr(ns, dest, _parse_ints(getattr(ns, dest), flag))
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(ns)
-        return _DISPATCH[cfg.subcommand](cfg)
+        _prepare(ns)
+        return _DISPATCH[ns.subcommand](ns)
     except NotVerified as exc:
         print(f"rejected: {exc}")
         return EXIT_REJECTED

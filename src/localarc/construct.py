@@ -12,15 +12,18 @@ Three layers:
   to GF(p^m) by translating it with carefully shaped polynomial tails.
 
 Every construction re-verifies its output exactly, with verify_local_arc
-(a lift skips this only when called with check=False).  Each lift is the
-lazy family of its TranslationLayout, every translate of a base set
-family: no set is built until it is looked up, and the check runs on the
-base and the difference set T - T instead of a sweep over all point
-pairs, at any family size, with no separate integer spot check.  Each
-lift first plans its layout and checks the layout's set count against its
-closed form, exactly and before any set exists; best_construction budgets
-from that count.  These checks raise NotVerified, never rely on assert,
-so they hold under python -O.
+(a lift skips this only when called with check=False; check defaults to
+True).  Each lift is the lazy family of its TranslationLayout, every
+translate of a base set family: no set is built until it is looked up,
+and the check runs on the base and the difference set T - T instead of a
+sweep over all point pairs, at any family size, with no separate integer
+spot check.  Each lift first plans its layout and checks the layout's set
+count against its closed form, exactly and before any set exists;
+best_construction budgets from that count.  These checks raise
+NotVerified, never rely on assert, so they hold under python -O.
+case3_lift picks M1 and M2 with choose_M1_M2 unless the caller gives
+both, and its digit alphabet is sdf_subset(floor(p/M1)) unless one is
+given.
 """
 
 from __future__ import annotations
@@ -332,19 +335,19 @@ def _verified(fam: LocalArcFamily) -> LocalArcFamily:
 
 
 def _plan(plane: Plane, layout: TranslationLayout, k: int, expected: int,
-          provenance: str) -> LocalArcFamily:
-    """A lift: the lazy family of its layout, before any set is built.
+          provenance: str, check: bool) -> LocalArcFamily:
+    """A lift: the lazy family of its layout, exactly checked if asked.
 
     NotVerified if the layout does not list `expected` sets, the lift's
-    closed form.  A translate listed twice is left to the exact check,
-    which names it as an overlap.
+    closed form; this runs before any set is built.  A translate listed
+    twice is left to the exact check, which names it as an overlap.
     """
     if len(layout) != expected:
         raise NotVerified(
             f"layout lists {len(layout)} sets, closed form says {expected}"
         )
-    return LocalArcFamily.translates(plane, layout, k=k,
-                                     provenance=provenance)
+    fam = LocalArcFamily.translates(plane, layout, k=k, provenance=provenance)
+    return _verified(fam) if check else fam
 
 
 def _sorted_layout(coords, us, vs) -> TranslationLayout:
@@ -451,12 +454,6 @@ def lift_prime(
     sets are lazy, computed from the family's translation layout, which
     verify_local_arc decides exactly.
     """
-    plan = _plan_lift_prime(seed, basis, p)
-    return _verified(plan) if check else plan
-
-
-def _plan_lift_prime(seed: GenericSeed, basis: SdfBasis, p: int
-                     ) -> LocalArcFamily:
     verdict = validate_generic(seed.sets, seed.secants, seed.r)
     if not verdict.ok:
         raise ValueError(f"seed fails validation: {verdict.failures}")
@@ -465,7 +462,7 @@ def _plan_lift_prime(seed: GenericSeed, basis: SdfBasis, p: int
         make_plane(make_field(p), "planar"),
         _lift_layout(p, seed.sets, params), seed.k,
         len(seed.sets) * params.n_translations,
-        f"lift_prime(r={seed.r},m={basis.m},t={params.t},p={p})",
+        f"lift_prime(r={seed.r},m={basis.m},t={params.t},p={p})", check,
     )
 
 
@@ -483,11 +480,6 @@ def case1_lift(seed: LocalArcFamily, check: bool = True) -> LocalArcFamily:
     alpha is the canonical degree-2 generator, so the alpha-component of
     an incidence forces equal translations; set count multiplies by p.
     """
-    plan = _plan_case1(seed)
-    return _verified(plan) if check else plan
-
-
-def _plan_case1(seed: LocalArcFamily) -> LocalArcFamily:
     _require_planar_affine(seed)
     field = seed.plane.field
     if field.m != 1:
@@ -502,7 +494,7 @@ def _plan_case1(seed: LocalArcFamily) -> LocalArcFamily:
     vs = [up.mul(g1, alpha) for g1 in range(p)]
     note = (seed.provenance + "|" if seed.provenance else "") + f"case1(p={p})"
     return _plan(plane, _sorted_layout(coords, [0], vs), seed.k,
-                 seed.n_sets * p, note)
+                 seed.n_sets * p, note, check)
 
 
 def case2_lift(seed: LocalArcFamily, t: int, check: bool = True) -> LocalArcFamily:
@@ -514,11 +506,6 @@ def case2_lift(seed: LocalArcFamily, t: int, check: bool = True) -> LocalArcFami
     coefficients at even ones.  Count: p^{5(s-1)} per set for odd t,
     p^{5s-3} for even t.
     """
-    plan = _plan_case2(seed, t)
-    return _verified(plan) if check else plan
-
-
-def _plan_case2(seed: LocalArcFamily, t: int) -> LocalArcFamily:
     if t < 2:
         raise NotTower(f"tower degree 2t needs t >= 2, got t = {t}")
     _require_planar_affine(seed)
@@ -546,7 +533,7 @@ def _plan_case2(seed: LocalArcFamily, t: int) -> LocalArcFamily:
     expected = seed.n_sets * (p ** (5 * (s - 1)) if t % 2 else p ** (5 * s - 3))
     note = (seed.provenance + "|" if seed.provenance else "") + f"case2(p={p},t={t})"
     return _plan(plane, _sorted_layout(coords, f_vals, g_vals), seed.k,
-                 expected, note)
+                 expected, note, check)
 
 
 def _poly_values(field: Field, powers, alphabets) -> list[int]:
@@ -603,8 +590,8 @@ def choose_M1_M2(t: int, eps: float = 1e-6) -> tuple[float, float]:
 def case3_lift(
     seed: LocalArcFamily,
     m: int,
-    M1: float,
-    M2: float,
+    M1: float | None = None,
+    M2: float | None = None,
     alphabet=None,
     check: bool = True,
 ) -> LocalArcFamily:
@@ -616,14 +603,9 @@ def case3_lift(
     ones, where A = sdf_subset(floor(p/M1)) unless an explicit alphabet
     is supplied.  An explicit alphabet must list distinct values in
     [0, p) (ValueError otherwise); that it is square-difference-free is
-    left to the output check.
+    left to the output check.  M1 and M2 default to choose_M1_M2(t);
+    giving only one of them is a ValueError.
     """
-    plan = _plan_case3(seed, m, M1, M2, alphabet)
-    return _verified(plan) if check else plan
-
-
-def _plan_case3(seed: LocalArcFamily, m: int, M1: float, M2: float,
-                alphabet=None) -> LocalArcFamily:
     if m < 3 or (m % 2 == 0 and m < 4):
         raise ValueError("extension degree m must be odd >= 3 or even >= 4")
     _require_planar_affine(seed)
@@ -631,9 +613,13 @@ def _plan_case3(seed: LocalArcFamily, m: int, M1: float, M2: float,
     if base.m != 1:
         raise ValueError("case 3 starts from a prime field")
     p = base.p
+    t = (m - 1) // 2 if m % 2 else m // 2
+    if M1 is None and M2 is None:
+        M1, M2 = choose_M1_M2(t)
+    elif M1 is None or M2 is None:
+        raise ValueError("give both M1 and M2, or neither")
     if not (M1 >= 2 and M2 >= 4 and 4.0 / M2 < 1.0 - 2.0 / M1):
         raise ValueError("(M1, M2) violate the side constraints")
-    t = (m - 1) // 2 if m % 2 else m // 2
     coords = _affine_coords(seed)
     if alphabet is None:
         n_a = int(p // M1)
@@ -674,7 +660,7 @@ def _plan_case3(seed: LocalArcFamily, m: int, M1: float, M2: float,
         f"case3(p={p},m={m},M1={M1:g},M2={M2:g},|A|={len(alphabet)})"
     )
     return _plan(plane, _sorted_layout(coords, f_vals, g_vals), seed.k,
-                 expected, note)
+                 expected, note, check)
 
 
 # ---------------------------------------------------------------------------
@@ -714,20 +700,17 @@ def best_construction(
 
     consider("oval_partition", lambda: oval_partition(q, k))
     if m == 1:
-        consider("lift_prime", lambda: lift(
-            _plan_lift_prime(generic_k_arc(k), SdfBasis(5, (0, 2)), p)))
+        consider("lift_prime", lambda: lift(lift_prime(
+            generic_k_arc(k), SdfBasis(5, (0, 2)), p, check=False)))
     elif m == 2:
-        consider("case1", lambda: lift(_plan_case1(conic_partition_seed(p, k))))
+        consider("case1", lambda: lift(case1_lift(
+            conic_partition_seed(p, k), check=False)))
     else:
         if m % 2 == 0:
-            consider("case2", lambda: lift(_plan_case2(
-                case1_lift(conic_partition_seed(p, k)), m // 2)))
-
-        def run_case3():
-            M1, M2 = choose_M1_M2((m - 1) // 2 if m % 2 else m // 2)
-            return lift(_plan_case3(conic_partition_seed(p, k), m, M1, M2))
-
-        consider("case3", run_case3)
+            consider("case2", lambda: lift(case2_lift(
+                case1_lift(conic_partition_seed(p, k)), m // 2, check=False)))
+        consider("case3", lambda: lift(case3_lift(
+            conic_partition_seed(p, k), m, check=False)))
 
     if not candidates:
         raise RuntimeError(f"no construction applies at q = {q}, k = {k}")

@@ -26,7 +26,6 @@ __all__ = [
     "NonPrime",
     "Field",
     "FieldElement",
-    "FieldSpec",
     "make_field",
     "is_prime",
     "factor_prime_power",
@@ -162,14 +161,6 @@ def _find_modulus(degree, sq, ssub, smul) -> list[int]:
         if _irreducible(cand, sq, ssub, smul):
             return cand
     raise RuntimeError("irreducible polynomial of every degree exists")
-
-
-@dataclass(frozen=True)
-class FieldSpec:
-    p: int
-    m: int
-    tower: bool
-    modulus: tuple[int, ...]
 
 
 class Field:
@@ -442,10 +433,6 @@ class Field:
         if self._gen is None:
             self._gen = self._find_generator()
         return self._gen
-
-    @property
-    def spec(self) -> FieldSpec:
-        return FieldSpec(self.p, self.m, self.tower, self.modulus)
 
     def __repr__(self):
         tag = f"GF({self.p}^{self.m})" if self.m > 1 else f"GF({self.p})"

@@ -243,16 +243,8 @@ class Plane:
             raise ValueError("two distinct points are needed")
         return self.join(u, v)
 
-    def meet_of(self, u: int, v: int) -> int:
-        if u == v:
-            raise ValueError("two distinct lines are needed")
-        return self.meet(u, v)
-
     def point_ids(self) -> range:
         return range(self.n_points)
-
-    def line_ids(self) -> range:
-        return range(self.n_lines)
 
     def affine_point(self, x: int, y: int) -> int:
         return x * self.q + y

@@ -10,7 +10,10 @@ Two engines share the same model:
   may carry three points of the union of two sets, so adding a point
   shuts, for the rest of its set, every line through it that already
   holds a point.  The search is deterministic, so node counts are
-  reproducible.
+  reproducible.  It takes q and k plus three optional keywords: a
+  budget in seconds (none by default), a symmetry mode (by default the
+  first set is pinned for k <= 4 and nothing is pinned above) and a cap
+  on the set count (by default the second-moment bound).
 
 * ``emit_ilp`` writes the equivalent 0/1 integer program in LP text
   format for an external solver, and ``check_certificate`` replays a
@@ -34,7 +37,6 @@ from .bounds import eml_upper
 from .plane import Plane, make_plane
 
 __all__ = [
-    "SearchConfig",
     "SearchResult",
     "CellResult",
     "CertificateCheck",
@@ -54,38 +56,10 @@ def _max_arc_size(q: int) -> int:
     return q + 2 if q % 2 == 0 else q + 1
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Knobs for one exact_max run.
-
-    cap is an upper bound on the number of sets the search trusts
-    without proof; it defaults to the second-moment bound.  Passing a
-    smaller unproven value makes the returned ``optimal`` flag mean
-    "optimal among families of at most cap sets".
-    """
-
-    q: int
-    k: int
-    budget: float | None = None
-    symmetry: str | None = None
-    cap: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError("uniformity k must be at least 2")
-        if self.budget is not None and self.budget <= 0:
-            raise ValueError("budget must be positive when given")
-        if self.symmetry is not None and self.symmetry not in _SYMMETRY_MODES:
-            raise ValueError(f"symmetry must be one of {_SYMMETRY_MODES}")
-        if self.cap is not None and self.cap < 1:
-            raise ValueError("cap must be positive when given")
-
-    def resolved_symmetry(self) -> str:
-        # frame transitivity justifies fixing the first arc only up to
-        # quadruples, so larger k defaults to the unreduced search
-        if self.symmetry is not None:
-            return self.symmetry
-        return "fix-first-arc" if self.k <= 4 else "none"
+def _default_symmetry(k: int) -> str:
+    # frame transitivity justifies fixing the first arc only up to
+    # quadruples, so larger k defaults to the unreduced search
+    return "fix-first-arc" if k <= 4 else "none"
 
 
 @dataclass(frozen=True)
@@ -142,8 +116,8 @@ def _require_verified(certificate: LocalArcFamily) -> None:
 
 
 def exact_max(
-    q: int | SearchConfig,
-    k: int | None = None,
+    q: int,
+    k: int,
     *,
     budget: float | None = None,
     symmetry: str | None = None,
@@ -156,51 +130,57 @@ def exact_max(
     are placed in ascending order inside a set.  Prunes with bit masks
     of the points still open (see ``_dfs``), remaining-point counts,
     and the cap.  Exhausting the tree (or reaching the cap) proves
-    optimality; running out of budget returns the incumbent with
-    optimal=False.
+    optimality; running out of budget (seconds) returns the incumbent
+    with optimal=False.
+
+    cap is an upper bound on the number of sets the search trusts
+    without proof; it defaults to the second-moment bound.  Passing a
+    smaller unproven value makes the returned ``optimal`` flag mean
+    "optimal among families of at most cap sets".  symmetry defaults to
+    "fix-first-arc" for k <= 4 and "none" above.
     """
-    if isinstance(q, SearchConfig):
-        cfg = q
-    else:
-        if k is None:
-            raise ValueError("k is required when q is given as an integer")
-        cfg = SearchConfig(q=q, k=k, budget=budget, symmetry=symmetry,
-                           cap=cap)
+    if k < 2:
+        raise ValueError("uniformity k must be at least 2")
+    if budget is not None and budget <= 0:
+        raise ValueError("budget must be positive when given")
+    if symmetry is not None and symmetry not in _SYMMETRY_MODES:
+        raise ValueError(f"symmetry must be one of {_SYMMETRY_MODES}")
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be positive when given")
 
     start_time = time.monotonic()
-    plane = make_plane(cfg.q, kind="homogeneous")
-    kk = cfg.k
-    arc_max = _max_arc_size(cfg.q)
+    plane = make_plane(q, kind="homogeneous")
+    arc_max = _max_arc_size(q)
 
-    if kk > arc_max:
+    if k > arc_max:
         # no single k-set passes the per-set arc requirement
         return SearchResult(0, None, True, 0,
                             time.monotonic() - start_time, 0)
 
-    hard_cap = eml_upper(kk, cfg.q).sets
-    if 2 * kk > arc_max:
+    hard_cap = eml_upper(k, q).sets
+    if 2 * k > arc_max:
         # two disjoint sets would union to an arc larger than any arc
         hard_cap = min(hard_cap, 1)
-    eff_cap = hard_cap if cfg.cap is None else min(cfg.cap, hard_cap)
+    eff_cap = hard_cap if cap is None else min(cap, hard_cap)
 
     if eff_cap <= 1:
-        single = sorted(_conic_points(plane)[:kk])
+        single = sorted(_conic_points(plane)[:k])
         fam = LocalArcFamily(plane, [tuple(single)],
-                             provenance=f"search(q={cfg.q},k={kk})")
+                             provenance=f"search(q={q},k={k})")
         _require_verified(fam)
         return SearchResult(1, fam, True, 0,
                             time.monotonic() - start_time, eff_cap)
 
-    deadline = None if cfg.budget is None else start_time + cfg.budget
+    deadline = None if budget is None else start_time + budget
     best_sets, nodes, timed_out = _dfs(
-        plane, kk, eff_cap, deadline, cfg.resolved_symmetry())
+        plane, k, eff_cap, deadline, symmetry or _default_symmetry(k))
 
     best = len(best_sets)
     certificate = None
     if best:
         certificate = LocalArcFamily(
             plane, [tuple(s) for s in best_sets],
-            provenance=f"search(q={cfg.q},k={kk})")
+            provenance=f"search(q={q},k={k})")
         _require_verified(certificate)
     optimal = (not timed_out) or best >= eff_cap
     return SearchResult(best, certificate, optimal, nodes,

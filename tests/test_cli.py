@@ -13,8 +13,6 @@ from localarc.cli import (
     EXIT_OK,
     EXIT_REJECTED,
     EXIT_USAGE,
-    RunConfig,
-    UsageError,
     run,
 )
 
@@ -256,11 +254,39 @@ def test_workers_flag_is_gone():
     assert exc.value.code == EXIT_USAGE == 2
 
 
-def test_run_config_validation():
-    with pytest.raises(UsageError):
-        RunConfig(subcommand="bound", fmt="xml")
-    with pytest.raises(UsageError):
-        RunConfig(subcommand="construct", verify_mode="maybe")
+def test_run_config_validation(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["bound", "--q", "7", "--k", "3", "--format", "xml"])
+    assert exc.value.code == EXIT_USAGE
+    capsys.readouterr()
+    # a bad mode is rejected before any family is built
+    assert run(["construct", "--method", "oval", "--q", "7", "--k", "3",
+                "--verify", "maybe"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ")
+    assert captured.out == ""
+
+
+def test_verify_mode_none_is_usage_error(capsys):
+    # `verify` exists to verify; only `construct` may skip it
+    assert run(["verify", "--in", fixture_path("example_i.json"),
+                "--mode", "none"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("given", [["--M1", "8"], ["--M2", "6"]])
+def test_construct_case3_needs_both_or_neither_m(given, capsys):
+    assert run(["construct", "--method", "case3", "--p", "23", "--m", "3",
+                "--alphabet", "1,3"] + given) == EXIT_USAGE
+    assert "M1 and M2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--budget", "--cap"])
+def test_search_nonpositive_limits_are_usage_errors(flag, capsys):
+    assert run(["search", "--q", "3", "--k", "2", flag, "0"]) == EXIT_USAGE
+    assert "must be positive" in capsys.readouterr().err
 
 
 def test_console_entry_subprocess():

@@ -374,6 +374,17 @@ def test_case3_rejects_bad_parameters():
         case3_lift(seed, 2, 8.0, 6.0)
 
 
+def test_case3_m1_m2_default_to_choose_m1_m2():
+    seed = conic_partition_seed(23, 2)
+    fam = case3_lift(seed, 3, alphabet=(1, 3), check=False)
+    assert fam.provenance == case3_lift(
+        seed, 3, *choose_M1_M2(1), alphabet=(1, 3), check=False).provenance
+    assert "M1=2.001,M2=8004.01" in fam.provenance
+    for given in ({"M1": 8.0}, {"M2": 6.0}):
+        with pytest.raises(ValueError, match="both M1 and M2"):
+            case3_lift(seed, 3, alphabet=(1, 3), check=False, **given)
+
+
 @pytest.mark.parametrize("alphabet", [
     (1, 3, 3),  # a duplicate value
     (1, 100000), (-1, 3), (1, 30), (1, 23),  # values outside [0, 23)

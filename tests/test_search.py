@@ -13,13 +13,13 @@ from localarc.bounds import eml_upper
 from localarc.plane import Plane, make_plane
 from localarc.search import (
     CellResult,
-    SearchConfig,
     check_certificate,
     emit_ilp,
     exact_max,
     load_reference_table,
     parse_lp,
     reproduce_table,
+    _default_symmetry,
     _dfs,
     _greedy_arc,
     _max_arc_size,
@@ -119,14 +119,14 @@ def test_user_cap_limits_search():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SearchConfig(q=5, k=1)
+        exact_max(5, 1)
     with pytest.raises(ValueError):
-        SearchConfig(q=5, k=2, symmetry="mirror")
+        exact_max(5, 2, symmetry="mirror")
     with pytest.raises(ValueError):
-        SearchConfig(q=5, k=2, cap=0)
+        exact_max(5, 2, cap=0)
     with pytest.raises(ValueError):
-        SearchConfig(q=5, k=2, budget=0)
-    with pytest.raises(ValueError):
+        exact_max(5, 2, budget=0)
+    with pytest.raises(TypeError):
         exact_max(5)
 
 
@@ -425,7 +425,7 @@ def test_bench_cells_pinned(q, k, cap):
 def test_bench_cells_match_reference(q, k, cap):
     plane = make_plane(q, kind="homogeneous")
     c = _engine_cap(q, k, cap)
-    symmetry = SearchConfig(q=q, k=k).resolved_symmetry()
+    symmetry = _default_symmetry(k)
     assert _dfs(plane, k, c, None, symmetry) == reference_dfs(
         plane, k, c, None, symmetry)
 
