@@ -2,12 +2,8 @@
 
 from localarc.gf import (
     Field,
-    FieldElement,
     NonPrime,
-    find_primitive,
-    is_square,
     make_field,
-    reduce_int,
     tower_isomorphism,
 )
 from localarc.plane import Plane, convert_line, convert_point, make_plane

@@ -42,7 +42,6 @@ from localarc.arcs import (
 from localarc.gf import (
     Field,
     factor_prime_power,
-    find_primitive,
     is_prime,
     make_field,
 )
@@ -490,7 +489,7 @@ def case1_lift(seed: LocalArcFamily, check: bool = True) -> LocalArcFamily:
     coords = _affine_coords(seed)
     up = make_field(p, 2)
     plane = make_plane(up, "planar")
-    alpha = p  # encoding of the polynomial generator x
+    alpha = up.from_coeffs((0, 1))  # the polynomial generator x
     vs = [up.mul(g1, alpha) for g1 in range(p)]
     note = (seed.provenance + "|" if seed.provenance else "") + f"case1(p={p})"
     return _plan(plane, _sorted_layout(coords, [0], vs), seed.k,
@@ -516,7 +515,7 @@ def case2_lift(seed: LocalArcFamily, t: int, check: bool = True) -> LocalArcFami
     coords = _affine_coords(seed)
     tw = make_field(p, 2 * t, tower=True)
     plane = make_plane(tw, "planar")
-    alpha = find_primitive(tw).enc
+    alpha = tw.generator_enc()
     s = (t + 1) // 2
     p2 = p * p
 
@@ -551,37 +550,15 @@ def _poly_values(field: Field, powers, alphabets) -> list[int]:
 def choose_M1_M2(t: int, eps: float = 1e-6) -> tuple[float, float]:
     """Minimize M1^t M2^{(t-1)/2} with M2 pinned just above its floor.
 
-    The constraint 4/M2 < 1 - 2/M1 is kept strict by the (1+eps) pad;
-    at t = 1 the infimum M1 -> 2 is open, so M1 is clamped at 2 + 1e-3.
+    With M2 = 4 M1 / (M1 - 2), the derivative of t ln M1 + (t-1)/2 ln M2
+    vanishes at M1 = 3 - 1/t.  The constraint 4/M2 < 1 - 2/M1 is kept
+    strict by the (1+eps) pad; at t = 1 the infimum M1 -> 2 is open, so
+    M1 is clamped at 2 + 1e-3.
     """
     if t < 1:
         raise ValueError("t must be positive")
-
-    def m2_of(m1: float) -> float:
-        return max(4.0, 4.0 * m1 / (m1 - 2.0)) * (1.0 + eps)
-
-    if t == 1:
-        m1 = 2.0 + 1e-3
-    else:
-        def obj(m1: float) -> float:
-            return t * math.log(m1) + (t - 1) / 2 * math.log(m2_of(m1))
-
-        lo, hi = 2.0 + 1e-9, 100.0
-        phi = (math.sqrt(5) - 1) / 2
-        a, b = lo, hi
-        c, d = b - phi * (b - a), a + phi * (b - a)
-        fc, fd = obj(c), obj(d)
-        while b - a > 1e-9:
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - phi * (b - a)
-                fc = obj(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + phi * (b - a)
-                fd = obj(d)
-        m1 = (a + b) / 2
-    m2 = m2_of(m1)
+    m1 = 2.0 + 1e-3 if t == 1 else 3.0 - 1.0 / t
+    m2 = 4.0 * m1 / (m1 - 2.0) * (1.0 + eps)
     if not (m1 >= 2 and m2 >= 4 and 4.0 / m2 < 1.0 - 2.0 / m1):
         raise ValueError(f"(M1, M2) = ({m1}, {m2}) violate the side constraints")
     return m1, m2
@@ -637,7 +614,7 @@ def case3_lift(
 
     up = make_field(p, m)
     plane = make_plane(up, "planar")
-    alpha = p  # encoding of the polynomial generator x
+    alpha = up.from_coeffs((0, 1))  # the polynomial generator x
     powers = [1]
     for _ in range(m):
         powers.append(up.mul(powers[-1], alpha))

@@ -1,11 +1,15 @@
 """Arithmetic for finite fields GF(p^m) with integer-encoded elements.
 
-An element is stored as a single integer in [0, q).  For a flat field the
-encoding is the base-p digit expansion sum(a_i * p**i) of the coefficient
-vector with respect to the monic modulus.  A tower field GF((p^2)^t) packs
-its coefficients base p^2, each digit being the encoding of a base-field
-element; unpacked to base p this coincides with the flat digit layout, so
-addition is base-p digitwise in both presentations.
+An element is a plain integer in [0, q), its encoding; there is no element
+object.  Each Field computes on encodings through its add/sub/neg/mul/inv
+closures, and pow, is_square_enc and generator_enc are built on them.
+For a flat field the encoding is the base-p digit expansion
+sum(a_i * p**i) of the coefficient vector with respect to the monic
+modulus.  A tower field GF((p^2)^t) packs its coefficients base p^2, each
+digit being the encoding of a base-field element; unpacked to base p this
+coincides with the flat digit layout, so addition is base-p digitwise in
+both presentations.  Field.coeffs and Field.from_coeffs are the one
+translation between an encoding and its m base-p digits.
 
 Moduli are found by scanning monic candidates in ascending order of their
 integer encoding and keeping the first one that survives trial division by
@@ -19,19 +23,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 __all__ = [
     "NonPrime",
     "Field",
-    "FieldElement",
     "make_field",
     "is_prime",
     "factor_prime_power",
-    "is_square",
-    "find_primitive",
-    "reduce_int",
     "tower_isomorphism",
 ]
 
@@ -172,6 +171,7 @@ class Field:
         self.tower = tower
         self.q = p**m
         self.base: Field | None = None
+        self._gen: int | None = None  # set by the table engine, else lazily
 
         if m == 1:
             self.modulus: tuple[int, ...] = ()
@@ -196,9 +196,6 @@ class Field:
             else:
                 self._init_digit()
 
-        self.zero = FieldElement(self, 0)
-        self.one = FieldElement(self, 1)
-
     # -- engines ----------------------------------------------------------
 
     def _init_prime(self):
@@ -221,20 +218,8 @@ class Field:
                 raise ZeroDivisionError("0 is not invertible")
             return pow(a, _e, _p)
 
-        def pow_(a, e, _p=p):
-            return pow(a, e, _p)
-
-        if p == 2:
-            def is_sq(a):
-                return True
-        else:
-            def is_sq(a, _p=p, _e=(p - 1) // 2):
-                return a == 0 or pow(a, _e, _p) == 1
-
         self.add, self.sub, self.neg = add, sub, neg
-        self.mul, self.inv, self.pow = mul, inv, pow_
-        self.is_square_enc = is_sq
-        self._gen: int | None = None
+        self.mul, self.inv = mul, inv
 
     def _digit_closures(self):
         p = self.p
@@ -347,9 +332,6 @@ class Field:
         if p == 2:
             def neg(a):
                 return a
-
-            def is_sq(a):
-                return True
         else:
             half = n // 2
 
@@ -359,22 +341,11 @@ class Field:
                 t = _log[a] + _h
                 return _exp[t - _n if t >= _n else t]
 
-            def is_sq(a, _log=log):
-                return a == 0 or _log[a] & 1 == 0
-
         def sub(a, b, _add=add, _neg=neg):
             return _add(a, _neg(b))
 
-        def pow_(a, e, _n=n, _exp=exp, _log=log, _inv=inv):
-            if a == 0:
-                if e < 0:
-                    raise ZeroDivisionError("0 is not invertible")
-                return 1 if e == 0 else 0
-            return _exp[_log[a] * e % _n]
-
         self.add, self.sub, self.neg = add, sub, neg
-        self.mul, self.inv, self.pow = mul, inv, pow_
-        self.is_square_enc = is_sq
+        self.mul, self.inv = mul, inv
 
     def _init_digit(self):
         q = self.q
@@ -389,47 +360,48 @@ class Field:
                 raise ZeroDivisionError("0 is not invertible")
             return _pow(a, _e)
 
-        def pow_(a, e, _pow=self._raw_pow, _inv=inv):
-            if e < 0:
-                return _pow(_inv(a), -e)
-            return _pow(a, e)
-
-        if self.p == 2:
-            def is_sq(a):
-                return True
-        else:
-            def is_sq(a, _pow=self._raw_pow, _e=(q - 1) // 2):
-                return a == 0 or _pow(a, _e) == 1
-
         self.add, self.sub, self.neg = dadd, sub, dneg
-        self.mul, self.inv, self.pow = mul, inv, pow_
-        self.is_square_enc = is_sq
-        self._gen = None
+        self.mul, self.inv = mul, inv
 
-    # -- element access ----------------------------------------------------
+    # -- encodings ---------------------------------------------------------
 
-    def from_enc(self, e: int) -> FieldElement:
-        if not 0 <= e < self.q:
-            raise ValueError(f"encoding {e} outside [0, {self.q})")
-        return FieldElement(self, e)
+    def coeffs(self, e: int) -> tuple[int, ...]:
+        """The m base-p digits of encoding e, constant term first."""
+        p = self.p
+        out = []
+        for _ in range(self.m):
+            out.append(e % p)
+            e //= p
+        return tuple(out)
 
-    def from_int(self, n: int) -> FieldElement:
-        """Image of an ordinary integer under the ring map Z -> GF(p^m)."""
-        return FieldElement(self, n % self.p)
-
-    def from_coeffs(self, coeffs: Sequence[int]) -> FieldElement:
+    def from_coeffs(self, coeffs: Sequence[int]) -> int:
+        """Encoding of sum(c_i x^i), each c_i taken mod p; at most m of them."""
         p = self.p
         if len(coeffs) > self.m:
             raise ValueError("too many digits")
         e = 0
         for c in reversed(coeffs):
             e = e * p + c % p
-        return FieldElement(self, e)
+        return e
 
-    def elements(self) -> Iterator[FieldElement]:
-        return (FieldElement(self, e) for e in range(self.q))
+    def pow(self, a: int, e: int) -> int:
+        """a**e by square-and-multiply; a negative e inverts a first."""
+        if e < 0:
+            a, e = self.inv(a), -e
+        out = 1
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return out
+
+    def is_square_enc(self, a: int) -> bool:
+        """Euler's criterion; every element is a square in characteristic 2."""
+        return self.p == 2 or a == 0 or self.pow(a, (self.q - 1) // 2) == 1
 
     def generator_enc(self) -> int:
+        """Smallest-encoded generator of the multiplicative group."""
         if self._gen is None:
             self._gen = self._find_generator()
         return self._gen
@@ -442,82 +414,6 @@ class Field:
         return self.q
 
 
-@dataclass(frozen=True, repr=False)
-class FieldElement:
-    field: Field
-    enc: int
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise ValueError("elements of different fields")
-            return other.enc
-        if isinstance(other, int):
-            return other % self.field.p
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.field, self.field.add(self.enc, o))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.field, self.field.sub(self.enc, o))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.field, self.field.sub(o, self.enc))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.field, self.field.mul(self.enc, o))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.field, self.field.mul(self.enc, self.field.inv(o)))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.field, self.field.mul(o, self.field.inv(self.enc)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.enc))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.enc, e))
-
-    def __bool__(self):
-        return self.enc != 0
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        p, e = self.field.p, self.enc
-        out = []
-        for _ in range(self.field.m):
-            out.append(e % p)
-            e //= p
-        return tuple(out)
-
-    def __repr__(self):
-        return f"GF({self.field.q})[{self.enc}]"
-
-
 @functools.lru_cache(maxsize=None)
 def make_field(p: int, m: int = 1, tower: bool = False) -> Field:
     if not is_prime(p):
@@ -527,33 +423,6 @@ def make_field(p: int, m: int = 1, tower: bool = False) -> Field:
     if tower and (m % 2 or m < 4):
         raise ValueError("tower presentation needs an even degree m >= 4")
     return Field(p, m, tower)
-
-
-def is_square(x: FieldElement) -> bool:
-    return x.field.is_square_enc(x.enc)
-
-
-def find_primitive(field: Field) -> FieldElement:
-    """Smallest-encoded generator of the multiplicative group."""
-    return FieldElement(field, field.generator_enc())
-
-
-def reduce_int(x, r: int):
-    """Canonical residue of x in GF(r), for prime r.
-
-    Extends coordinatewise to tuples (a point (6, 12) mod 5 is (1, 2)) and
-    elementwise to sets, keeping the container shape.
-    """
-    field = make_field(r, 1)
-
-    def red(v):
-        if isinstance(v, int):
-            return field.from_int(v)
-        return tuple(red(c) for c in v)
-
-    if isinstance(x, (set, frozenset)):
-        return {red(v) for v in x}
-    return red(x)
 
 
 def _mat_inv_mod(mat: list[list[int]], p: int) -> list[list[int]]:
@@ -576,8 +445,8 @@ def tower_isomorphism(p: int, m: int) -> tuple[Callable, Callable]:
 
     The flat generator is sent to the smallest-encoded root of the flat
     modulus inside the tower field, which pins the isomorphism down
-    deterministically.  Both directions are returned as callables on
-    elements.
+    deterministically.  Both directions are returned as callables from
+    encodings to encodings; an encoding outside [0, p^m) is a ValueError.
     """
     flat = make_field(p, m)
     tw = make_field(p, m, tower=True)
@@ -598,26 +467,22 @@ def tower_isomorphism(p: int, m: int) -> tuple[Callable, Callable]:
     cols = []
     cur = 1
     for _ in range(m):
-        cols.append(_decode(cur, p, m))
+        cols.append(tw.coeffs(cur))
         cur = tw.mul(cur, root)
     fwd_mat = [[cols[j][i] for j in range(m)] for i in range(m)]
     bwd_mat = _mat_inv_mod(fwd_mat, p)
 
-    def apply(mat, e):
-        vec = _decode(e, p, m)
-        out = 0
-        for i in range(m - 1, -1, -1):
-            out = out * p + sum(mat[i][j] * vec[j] for j in range(m)) % p
-        return out
+    def apply(mat, src: Field, dst: Field, e: int) -> int:
+        if not 0 <= e < src.q:
+            raise ValueError(f"encoding {e} outside [0, {src.q})")
+        vec = src.coeffs(e)
+        return dst.from_coeffs(
+            [sum(row[j] * vec[j] for j in range(m)) for row in mat])
 
-    def to_tower(x: FieldElement) -> FieldElement:
-        if x.field is not flat:
-            raise ValueError("expected a flat-field element")
-        return FieldElement(tw, apply(fwd_mat, x.enc))
+    def to_tower(e: int) -> int:
+        return apply(fwd_mat, flat, tw, e)
 
-    def from_tower(x: FieldElement) -> FieldElement:
-        if x.field is not tw:
-            raise ValueError("expected a tower-field element")
-        return FieldElement(flat, apply(bwd_mat, x.enc))
+    def from_tower(e: int) -> int:
+        return apply(bwd_mat, tw, flat, e)
 
     return to_tower, from_tower

@@ -268,11 +268,7 @@ class Plane:
         f = self.field
         if f.m == 1:
             return str(enc)
-        digits = []
-        for _ in range(f.m):
-            digits.append(enc % f.p)
-            enc //= f.p
-        return "[" + ",".join(str(d) for d in digits) + "]"
+        return "[" + ",".join(map(str, f.coeffs(enc))) + "]"
 
     def _parse_elem(self, token: str) -> int:
         f = self.field
@@ -287,10 +283,7 @@ class Plane:
         digits = [int(t) for t in token[1:-1].split(",")]
         if len(digits) != f.m or not all(0 <= d < f.p for d in digits):
             raise ValueError(f"bad coefficient array {token!r}")
-        e = 0
-        for d in reversed(digits):
-            e = e * f.p + d
-        return e
+        return f.from_coeffs(digits)
 
     def point_str(self, pid: int) -> str:
         q, q2 = self.q, self.q * self.q

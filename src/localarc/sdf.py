@@ -148,42 +148,35 @@ def max_sdf_bruteforce(N: int) -> tuple[int, tuple[int, ...]]:
     return best_size, best
 
 
-def sdf_subset(N: int, method: str | None = None,
-               basis: SdfBasis | None = None) -> set[int]:
-    """An SDF subset of {1,...,N}: exhaustive below the search guard,
-    digit construction truncated into range above it."""
+def sdf_subset(N: int, basis: SdfBasis | None = None) -> set[int]:
+    """An SDF subset of {1,...,N}.
+
+    A given basis means its digit construction truncated into range, at
+    any N (empty when no digit value is below N).  Without one: the
+    exhaustive maximum up to the search guard N = 60, and the truncated
+    digit construction of BASIS_205 above it.
+    """
     if N < 1:
         raise ValueError("N must be positive")
-    if method is None:
-        method = "bruteforce" if N <= 60 else "digits"
-    if method == "bruteforce":
-        return set(max_sdf_bruteforce(N)[1])
-    if method != "digits":
-        raise ValueError(f"unknown method {method!r}")
-
-    def truncated(b: SdfBasis) -> set[int]:
-        # digit sets for growing even t, each cut at N-1; with 0 in the
-        # alphabet they are nested, but argmax over t costs nothing
-        best: set[int] = set()
-        t = 2
-        while True:
-            cur = {x + 1 for x in _bounded_digits(b, t, N - 1)}
-            if len(cur) > len(best):
-                best = cur
-            if b.m**t > N - 1:
-                return best
-            t += 2
-
-    for b in (basis, BASIS_205, BASIS_5):
-        if b is None:
-            continue
-        out = truncated(b)
-        if out:
-            if not is_sdf_int(out):
-                raise RuntimeError("truncated digit construction is not "
-                                   "square-difference-free")
-            return out
-    return {1}
+    if basis is None:
+        if N <= 60:
+            return set(max_sdf_bruteforce(N)[1])
+        basis = BASIS_205
+    # digit sets for growing even t, each cut at N-1; with 0 in the
+    # alphabet they are nested, but argmax over t costs nothing
+    best: set[int] = set()
+    t = 2
+    while True:
+        cur = {x + 1 for x in _bounded_digits(basis, t, N - 1)}
+        if len(cur) > len(best):
+            best = cur
+        if basis.m**t > N - 1:
+            break
+        t += 2
+    if not is_sdf_int(best):
+        raise RuntimeError("truncated digit construction is not "
+                           "square-difference-free")
+    return best
 
 
 def _bounded_digits(basis: SdfBasis, t: int, limit: int) -> list[int]:

@@ -8,6 +8,8 @@ import sys
 from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from localarc.cli import (
     EXIT_OK,
@@ -68,6 +70,92 @@ def test_malformed_json_is_usage_error(tmp_path, capsys, text, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("usage error: ")
     assert "rejected" not in captured.out
+
+
+FUZZ_ARGVS = [
+    ["verify", "--in"],
+    ["construct", "--method", "case1", "--seed-file"],
+    ["construct", "--method", "lift-prime", "--p", "1031",
+     "--basis", "5,0,2", "--seed-file"],
+]
+
+# mostly in range for the small fields below, sometimes far outside
+_coord = st.one_of(st.integers(min_value=0, max_value=6),
+                   st.integers(min_value=-3, max_value=60))
+_junk = st.one_of(
+    st.none(), st.booleans(), _coord, st.text(max_size=4),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_point_text = st.one_of(
+    st.builds("({},{})".format, _coord, _coord),
+    st.builds("({})".format, _coord),
+    st.just("(inf)"),
+    st.builds("({}:{}:{})".format, _coord, _coord, _coord),
+    st.builds(lambda cs: "[" + ",".join(map(str, cs)) + "]",
+              st.lists(_coord, max_size=5)),
+)
+_point_pair = st.lists(st.one_of(_coord, _junk), max_size=3)
+# keys that name a field are drawn only in the family strategy below, so a
+# free-form value never asks for a field larger than GF(50^4)
+_free_key = st.text(max_size=3).filter(lambda k: k not in ("p", "m"))
+_json = st.recursive(
+    st.one_of(_junk, _point_text),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_free_key, inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+def _sets_of(point):
+    return st.one_of(
+        st.lists(st.lists(st.one_of(point, _json), max_size=4), max_size=4),
+        _json,
+    )
+
+
+def _field_is_small(data) -> bool:
+    # modulus search and table building grow fast with q (GF(2^60) does
+    # not finish, GF(37^4) takes seconds), so a fuzzed field has p <= 50,
+    # m <= 4 and at most a few thousand elements
+    p, m = data.get("p"), data.get("m", 1)
+    if isinstance(p, (int, float)) and isinstance(m, (int, float)):
+        return abs(p) <= 50 and m <= 4 and abs(p) ** max(m, 1) <= 2500
+    return True
+
+
+_family = st.fixed_dictionaries({}, optional={
+    "p": st.one_of(st.sampled_from([3, 5, 7]),
+                   st.integers(min_value=-2, max_value=50), _junk),
+    "m": st.one_of(st.integers(min_value=-1, max_value=4), _junk),
+    "q": st.one_of(_coord, _junk),
+    "tower": _junk,
+    "presentation": st.one_of(st.sampled_from(["planar", "homogeneous"]),
+                              _junk),
+    "k": _junk,
+    "provenance": _json,
+    "sets": _sets_of(_point_text),
+}).filter(_field_is_small)
+_seed = st.fixed_dictionaries({}, optional={
+    "r": st.one_of(_coord, _junk),
+    "r_prime": st.one_of(_coord, _junk),
+    "sets": _sets_of(_point_pair),
+    "secants": _sets_of(_point_pair),
+})
+
+
+@pytest.mark.parametrize("argv", FUZZ_ARGVS)
+@settings(deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.filter_too_much])
+@given(data=st.one_of(_family, _seed, _json))
+def test_arbitrary_json_never_crashes_the_cli(tmp_path, capsys, argv, data):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(data))
+    code = run(argv + [str(path)])
+    out = capsys.readouterr().out
+    assert code in (EXIT_OK, EXIT_REJECTED, EXIT_USAGE)
+    if code == EXIT_REJECTED:
+        assert "rejected: " in out
 
 
 def test_bound_row_has_eml_sets_5(capsys):
@@ -152,6 +240,13 @@ def test_sdf_build_and_max(capsys):
     assert run(["sdf", "max", "--n", "20", "--format", "json"]) == EXIT_OK
     best = json.loads(capsys.readouterr().out)
     assert best["size"] == 8
+
+
+def test_sdf_build_with_basis_uses_it_below_the_guard(capsys):
+    # the README example: --basis is the truncated digit construction,
+    # not the N <= 60 brute-force maximum (14 elements)
+    assert run(["sdf", "build", "--n", "50", "--basis", "5,0,2"]) == EXIT_OK
+    assert capsys.readouterr().out == "n=50 size=10\n1,3,6,8,11,13,16,18,21,23\n"
 
 
 def test_ilp_export_counts(tmp_path, capsys):

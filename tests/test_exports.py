@@ -1,0 +1,36 @@
+"""Every exported name resolves: no module's __all__ and no import in the
+package's __init__ names something that is gone."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import localarc
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(localarc.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_all_entry_resolves(name):
+    mod = importlib.import_module(f"localarc.{name}")
+    exported = getattr(mod, "__all__", ())
+    missing = [n for n in exported if not hasattr(mod, n)]
+    assert not missing
+
+
+def test_every_package_import_resolves():
+    tree = ast.parse(Path(localarc.__file__).read_text())
+    imported = [
+        (node.module, alias.name)
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names if not alias.name.startswith("_")
+    ]
+    missing = [
+        (src, name) for src, name in imported
+        if not hasattr(importlib.import_module(src), name)
+        or not hasattr(localarc, name)
+    ]
+    assert imported and not missing

@@ -6,11 +6,8 @@ import localarc.gf as gfmod
 from localarc.gf import (
     NonPrime,
     factor_prime_power,
-    find_primitive,
     is_prime,
-    is_square,
     make_field,
-    reduce_int,
     tower_isomorphism,
 )
 
@@ -60,20 +57,31 @@ def test_modulus_choices_are_the_first_irreducibles():
 def test_char2_squaring_identity():
     f8 = make_field(2, 3)
     a = f8.from_coeffs([1, 1])
-    assert (a * a).coeffs == (1, 0, 1)
+    assert f8.coeffs(f8.mul(a, a)) == (1, 0, 1)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_digit_layout_round_trip(name):
+    f = FIELDS[name]
+    for e in range(f.q):
+        cs = f.coeffs(e)
+        assert len(cs) == f.m and all(0 <= c < f.p for c in cs)
+        assert f.from_coeffs(cs) == e
+    with pytest.raises(ValueError):
+        f.from_coeffs([0] * (f.m + 1))
 
 
 def test_smallest_primitives():
-    assert find_primitive(make_field(2)).enc == 1
-    assert find_primitive(make_field(5)).enc == 2
-    assert find_primitive(make_field(7)).enc == 3
-    assert find_primitive(make_field(3, 2)).enc == 4
+    assert make_field(2).generator_enc() == 1
+    assert make_field(5).generator_enc() == 2
+    assert make_field(7).generator_enc() == 3
+    assert make_field(3, 2).generator_enc() == 4
 
 
 @pytest.mark.parametrize("name", ["GF8", "GF9", "GF25"])
 def test_primitive_has_full_order(name):
     f = FIELDS[name]
-    g = find_primitive(f).enc
+    g = f.generator_enc()
     seen = set()
     cur = 1
     for _ in range(f.q - 1):
@@ -91,27 +99,9 @@ def test_square_classification_matches_bruteforce():
 
 
 def test_is_square_examples():
-    assert is_square(make_field(13).from_enc(3))
-    assert not is_square(find_primitive(make_field(3, 2)))
-
-
-def test_reduce_int_scalars_pairs_sets():
-    assert reduce_int(17, 5).enc == 2
-    assert reduce_int(-1, 3).enc == 2
-    pair = reduce_int((6, 12), 5)
-    assert tuple(e.enc for e in pair) == (1, 2)
-    pts = reduce_int({(6, 12), (2, 4)}, 5)
-    assert {tuple(e.enc for e in pt) for pt in pts} == {(1, 2), (2, 4)}
-    with pytest.raises(NonPrime):
-        reduce_int(3, 4)
-
-
-def test_reduce_int_is_a_ring_morphism():
-    r = 7
-    for x in range(-20, 21, 3):
-        for y in range(-20, 21, 5):
-            assert reduce_int(x + y, r) == reduce_int(x, r) + reduce_int(y, r)
-            assert reduce_int(x * y, r) == reduce_int(x, r) * reduce_int(y, r)
+    assert make_field(13).is_square_enc(3)
+    f9 = make_field(3, 2)
+    assert not f9.is_square_enc(f9.generator_enc())
 
 
 def test_bad_parameters_rejected():
@@ -166,6 +156,7 @@ def test_field_axioms(name, data):
     if a:
         assert f.mul(a, f.inv(a)) == 1
         assert f.pow(a, f.q - 1) == 1
+        assert f.pow(a, -1) == f.inv(a)
     assert f.pow(a, 3) == f.mul(a, f.mul(a, a))
 
 
@@ -176,26 +167,16 @@ def test_field_axioms(name, data):
 )
 def test_tower_isomorphism_is_a_field_map(x, y):
     to_t, from_t = tower_isomorphism(5, 4)
-    flat = make_field(5, 4)
-    a, b = flat.from_enc(x), flat.from_enc(y)
-    assert to_t(a + b) == to_t(a) + to_t(b)
-    assert to_t(a * b) == to_t(a) * to_t(b)
-    assert from_t(to_t(a)) == a
-    assert to_t(flat.one).enc == 1 and to_t(flat.zero).enc == 0
+    flat, tw = make_field(5, 4), make_field(5, 4, tower=True)
+    assert to_t(flat.add(x, y)) == tw.add(to_t(x), to_t(y))
+    assert to_t(flat.mul(x, y)) == tw.mul(to_t(x), to_t(y))
+    assert from_t(to_t(x)) == x
+    assert to_t(1) == 1 and to_t(0) == 0
 
 
-def test_element_operator_sugar():
-    f = make_field(7)
-    a, b = f.from_enc(3), f.from_enc(5)
-    assert (a + b).enc == 1
-    assert (a - b).enc == 5
-    assert (a * b).enc == 1
-    assert (a / b).enc == f.mul(3, f.inv(5))
-    assert (-a).enc == 4
-    assert (a**-1).enc == 5
-    assert (2 * a).enc == 6 and (a + 1).enc == 4 and (1 - a).enc == 5
-    assert bool(a) and not bool(f.zero)
-    with pytest.raises(ValueError):
-        _ = a + make_field(5).from_enc(1)
-    with pytest.raises(ValueError):
-        f.from_enc(7)
+@pytest.mark.parametrize("e", [-1, 625])
+def test_tower_isomorphism_rejects_out_of_range_encodings(e):
+    to_t, from_t = tower_isomorphism(5, 4)
+    for fn in (to_t, from_t):
+        with pytest.raises(ValueError, match="outside"):
+            fn(e)

@@ -109,17 +109,18 @@ def test_max_bruteforce_monotone():
 
 def test_sdf_subset_dispatch():
     assert sdf_subset(5) == {1, 3}
-    out = sdf_subset(30, method="digits", basis=BASIS_5)
+    out = sdf_subset(30, basis=BASIS_5)
     assert out and max(out) <= 30 and min(out) >= 1
     assert is_sdf_int(out)
+    # a given basis is used below the brute-force guard too
+    assert sdf_subset(50, basis=BASIS_5) == {1, 3, 6, 8, 11, 13, 16, 18, 21, 23}
+    assert len(sdf_subset(50)) == 14
     out = sdf_subset(10_000)
     assert out and max(out) <= 10_000 and min(out) >= 1
     assert is_sdf_int(out)
     assert len(out) >= 0.5 * 10_000**0.7
     with pytest.raises(ValueError):
         sdf_subset(0)
-    with pytest.raises(ValueError):
-        sdf_subset(10, method="magic")
 
 
 @settings(deadline=None, max_examples=200)
