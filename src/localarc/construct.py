@@ -591,7 +591,8 @@ def case3_lift(
         raise ValueError("case 3 starts from a prime field")
     p = base.p
     t = (m - 1) // 2 if m % 2 else m // 2
-    if M1 is None and M2 is None:
+    use_default = M1 is None and M2 is None
+    if use_default:
         M1, M2 = choose_M1_M2(t)
     elif M1 is None or M2 is None:
         raise ValueError("give both M1 and M2, or neither")
@@ -599,7 +600,11 @@ def case3_lift(
         raise ValueError("(M1, M2) violate the side constraints")
     coords = _affine_coords(seed)
     if alphabet is None:
-        n_a = int(p // M1)
+        # floor(p/M1); for the default M1 = 3 - 1/t (t > 1) it is
+        # pt // (3t - 1), as the double nearest 3 - 1/t can lie above it
+        # and floor one too low (5, not 6, at p = 17, t = 6)
+        n_a = (p * t // (3 * t - 1) if use_default and t > 1
+               else int(p // M1))
         if n_a < 1:
             raise EmptySdf(f"floor(p/M1) = {n_a} leaves no alphabet range")
         alphabet = sdf_subset(n_a)

@@ -12,11 +12,25 @@ both presentations.  Field.coeffs and Field.from_coeffs are the one
 translation between an encoding and its m base-p digits.
 
 Moduli are found by scanning monic candidates in ascending order of their
-integer encoding and keeping the first one that survives trial division by
-every lower-degree monic polynomial.  Three engines cover the size range:
-prime fields use native modular arithmetic, extension fields with at most
-_TABLE_LIMIT elements use exp/log tables with Zech logarithms for addition,
-and larger fields fall back to explicit digit-vector arithmetic.
+integer encoding and keeping the first one that passes Ben-Or's
+irreducibility test, gcd(f, x^(s^i) - x) = 1 for every i <= deg(f)/2 over
+the scalar ring GF(s).
+
+Three engines cover the size range:
+
+- prime fields use native modular arithmetic;
+- extension fields with at most _TABLE_LIMIT elements use exp/log tables
+  with Zech logarithms for addition: one list lookup per operation;
+- larger fields compute on digits.  A flat field multiplies through one
+  packed-integer (Kronecker substitution) product, _packed_mul, which is
+  also what builds the exp tables and searches for generators; a tower
+  field multiplies digit polynomials over GF(p^2) (_pmul, _pmod).  Both
+  invert by extended Euclid over the scalar ring (_xgcd), and add, sub
+  and neg take one pass over the base-p digits.
+
+At GF(131^3) the digit engine costs about 1.5 us per mul and 10 us per
+inv under CPython 3.11 on a 2-core x86 machine, against 0.1-0.4 us per
+table-engine mul, so the tables stay wherever they fit.
 """
 
 from __future__ import annotations
@@ -143,23 +157,111 @@ def _decode(code: int, base: int, width: int) -> list[int]:
     return out
 
 
-def _irreducible(mod, sq, ssub, smul) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg(mod)//2."""
-    dm = len(mod) - 1
-    for e in range(1, dm // 2 + 1):
-        for code in range(sq**e):
-            g = _decode(code, sq, e) + [1]
-            if _pmod(mod, g, ssub, smul) == [0]:
-                return False
+def _xgcd(f, a, ssub, smul, sinv):
+    """(g, s) with g the monic gcd of f and a, and s * a = g modulo f.
+
+    Extended Euclid that keeps only a's cofactor; deg a < deg f, and a
+    may be the zero polynomial, whose gcd with f is f made monic.  A
+    nonzero constant remainder ends it early: the gcd is then 1.
+    """
+    r0, r1 = list(f), list(a)
+    s0, s1 = [0], [1]
+    while len(r1) > 1:
+        d = len(r1) - 1
+        lead = sinv(r1[-1])
+        quot = [0] * (len(r0) - d)
+        for i in reversed(range(len(quot))):
+            c = quot[i] = smul(r0[i + d], lead)
+            if c:  # r0[i + d] cancels; only the lower terms change
+                for j in range(d):
+                    r0[i + j] = ssub(r0[i + j], smul(c, r1[j]))
+        r0, r1 = r1, _ptrim(r0[:d])
+        s = s0 + [0] * (len(quot) + len(s1) - 1 - len(s0))
+        for i, c in enumerate(quot):
+            if c:
+                for j, b in enumerate(s1):
+                    s[i + j] = ssub(s[i + j], smul(c, b))
+        s0, s1 = s1, _ptrim(s)
+    if r1 == [0]:
+        r1, s1 = r0, s0
+    lead = sinv(r1[-1])
+    return [smul(lead, c) for c in r1], [smul(lead, c) for c in s1]
+
+
+def _irreducible(mod, sq, sadd, ssub, smul, sinv) -> bool:
+    """Ben-Or: gcd(mod, x^(sq^i) - x) = 1 for every i <= deg(mod)/2.
+
+    x^(sq^i) - x is the product of the monic irreducibles whose degree
+    divides i, so the test fails exactly when mod has a factor of degree
+    at most deg(mod)/2.
+    """
+    h = [0, 1]  # x^(sq^i) mod mod
+    for _ in range((len(mod) - 1) // 2):
+        cur, h, e = h, [1], sq
+        while e:
+            if e & 1:
+                h = _pmod(_pmul(h, cur, sadd, smul), mod, ssub, smul)
+            cur = _pmod(_pmul(cur, cur, sadd, smul), mod, ssub, smul)
+            e >>= 1
+        diff = h + [0] * (2 - len(h))
+        diff[1] = ssub(diff[1], 1)
+        if _xgcd(mod, _ptrim(diff), ssub, smul, sinv)[0] != [1]:
+            return False
     return True
 
 
-def _find_modulus(degree, sq, ssub, smul) -> list[int]:
+def _find_modulus(degree, sq, sadd, ssub, smul, sinv) -> list[int]:
     for code in range(sq**degree):
         cand = _decode(code, sq, degree) + [1]
-        if _irreducible(cand, sq, ssub, smul):
+        if _irreducible(cand, sq, sadd, ssub, smul, sinv):
             return cand
     raise RuntimeError("irreducible polynomial of every degree exists")
+
+
+def _packed_mul(p: int, mod: Sequence[int]) -> Callable[[int, int], int]:
+    """mul(a, b) on encodings of GF(p)[x]/(mod) through one int product.
+
+    Kronecker substitution: each operand's m base-p digits go into w-bit
+    slots of one Python int, the two ints are multiplied once, and slots
+    m..2m-2 of the product are folded back into the low m slots with the
+    packed x^k mod (mod).  A product slot is at most m (p-1)^2 and a
+    folded one at most m (p-1)^2 (1 + (m-1)(p-1)); w holds that, so no
+    slot carries into the next.  Each low slot is then reduced mod p and
+    the digits repacked base p.
+    """
+    m = len(mod) - 1
+    w = (m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1))).bit_length()
+    mask = (1 << w) - 1
+    folds = []  # packed x^k mod (mod) for k = m .. 2m-2
+    cur = [-c % p for c in mod[:m]]
+    for _ in range(m - 1):
+        folds.append(sum(c << (w * i) for i, c in enumerate(cur)))
+        top = cur[-1]
+        cur = [-top * mod[0] % p] + [
+            (c - top * f) % p for c, f in zip(cur, mod[1:m])]
+
+    def mul(a, b, _p=p, _w=w, _mask=mask, _low=(1 << (w * m)) - 1,
+            _high=w * m, _folds=tuple(folds),
+            _shifts=tuple(range(w * (m - 1), -1, -w))):
+        x = y = s = 0
+        while a or b:
+            x |= a % _p << s
+            y |= b % _p << s
+            a //= _p
+            b //= _p
+            s += _w
+        c = x * y
+        r = c & _low
+        c >>= _high
+        for f in _folds:
+            r += (c & _mask) * f
+            c >>= _w
+        out = 0
+        for s in _shifts:
+            out = out * _p + (r >> s & _mask) % _p
+        return out
+
+    return mul
 
 
 class Field:
@@ -177,19 +279,22 @@ class Field:
             self.modulus: tuple[int, ...] = ()
             self._init_prime()
         else:
+            # _raw_mul is the product that the table build, the generator
+            # search and the digit engine's mul share; it stays apart from
+            # self.mul, so a wrapper put on an instance's mul (a call
+            # counter) sees only the callers' multiplications
             if tower:
-                self.base = make_field(p, 2)
-                sq = p * p
-                b = self.base
-                mod = _find_modulus(m // 2, sq, b.sub, b.mul)
-                self._scalar = (sq, b.add, b.sub, b.mul)
+                self.base = b = make_field(p, 2)
+                self._scalar = (p * p, b.add, b.sub, b.mul, b.inv)
+                mod = _find_modulus(m // 2, *self._scalar)
+                self._raw_mul = self._poly_mul
             else:
-                sq = p
-                mod = _find_modulus(m, sq, lambda x, y: (x - y) % p,
-                                    lambda x, y: x * y % p)
-                self._scalar = (sq, lambda x, y: (x + y) % p,
+                self._scalar = (p, lambda x, y: (x + y) % p,
                                 lambda x, y: (x - y) % p,
-                                lambda x, y: x * y % p)
+                                lambda x, y: x * y % p,
+                                lambda x: pow(x, -1, p))
+                mod = _find_modulus(m, *self._scalar)
+                self._raw_mul = _packed_mul(p, mod)
             self.modulus = tuple(mod)
             if self.q <= _TABLE_LIMIT:
                 self._init_table()
@@ -233,6 +338,15 @@ class Field:
                 shift *= _p
             return out
 
+        def dsub(a, b, _p=p):
+            out, shift = 0, 1
+            while a or b:
+                out += (a % _p - b % _p) % _p * shift
+                a //= _p
+                b //= _p
+                shift *= _p
+            return out
+
         def dneg(a, _p=p):
             out, shift = 0, 1
             while a:
@@ -243,7 +357,7 @@ class Field:
                 shift *= _p
             return out
 
-        return dadd, dneg
+        return dadd, dsub, dneg
 
     def _enc_to_poly(self, e: int) -> list[int]:
         sq = self._scalar[0]
@@ -260,10 +374,10 @@ class Field:
             out = out * sq + c
         return out
 
-    def _raw_mul(self, a: int, b: int) -> int:
+    def _poly_mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        _, sadd, ssub, smul = self._scalar
+        _, sadd, ssub, smul, _ = self._scalar
         prod = _pmul(self._enc_to_poly(a), self._enc_to_poly(b), sadd, smul)
         return self._poly_to_enc(_pmod(prod, self.modulus, ssub, smul))
 
@@ -289,7 +403,7 @@ class Field:
 
     def _init_table(self):
         p, q = self.p, self.q
-        dadd, dneg = self._digit_closures()
+        dadd = self._digit_closures()[0]
         g = self._find_generator()
         self._gen = g
 
@@ -348,20 +462,17 @@ class Field:
         self.mul, self.inv = mul, inv
 
     def _init_digit(self):
-        q = self.q
-        dadd, dneg = self._digit_closures()
-        mul = self._raw_mul
+        dadd, dsub, dneg = self._digit_closures()
+        _, _, ssub, smul, sinv = self._scalar
 
-        def sub(a, b, _add=dadd, _neg=dneg):
-            return _add(a, _neg(b))
-
-        def inv(a, _pow=self._raw_pow, _e=q - 2):
+        def inv(a, _mod=self.modulus, _dec=self._enc_to_poly,
+                _enc=self._poly_to_enc):
             if a == 0:
                 raise ZeroDivisionError("0 is not invertible")
-            return _pow(a, _e)
+            return _enc(_xgcd(_mod, _dec(a), ssub, smul, sinv)[1])
 
-        self.add, self.sub, self.neg = dadd, sub, dneg
-        self.mul, self.inv = mul, inv
+        self.add, self.sub, self.neg = dadd, dsub, dneg
+        self.mul, self.inv = self._raw_mul, inv
 
     # -- encodings ---------------------------------------------------------
 

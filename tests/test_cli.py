@@ -393,6 +393,18 @@ def test_console_entry_subprocess():
     assert proc.stdout.splitlines()[1].split("\t")[0] == "11"
 
 
+def test_verify_of_a_degree_60_family_ends_in_seconds(tmp_path):
+    # the field is built before the family is read: its modulus search
+    # must not run over every lower-degree divisor
+    fam = tmp_path / "gf2_60.json"
+    fam.write_text('{"p": 2, "m": 60, "sets": []}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "localarc.cli", "verify", "--in", str(fam)],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == EXIT_USAGE
+    assert "odd characteristic" in proc.stderr
+
+
 def test_determinism_same_flags_same_output(capsys):
     run(["search", "--q", "5", "--k", "3", "--format", "json"])
     first = json.loads(capsys.readouterr().out)

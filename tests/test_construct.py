@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import localarc
+import localarc.construct as construct_mod
 
 from localarc.arcs import (
     LocalArcFamily,
@@ -331,6 +332,24 @@ def test_choose_m1_m2_values():
     assert m1 == pytest.approx(2.001)
     with pytest.raises(ValueError):
         choose_M1_M2(0)
+
+
+@pytest.mark.parametrize("p,m,expected", [(17, 12, 6), (17, 13, 6),
+                                            (53, 36, 18), (13, 4, 5),
+                                            (131, 3, 65)])
+def test_default_alphabet_range_is_an_exact_floor(monkeypatch, p, m,
+                                                  expected):
+    # at p = 3t - 1, p / (3 - 1/t) is exactly t; the float M1 gave t - 1
+    seen = []
+
+    def stop(n):
+        seen.append(n)
+        raise EmptySdf("stop before the field is built")
+
+    monkeypatch.setattr(construct_mod, "sdf_subset", stop)
+    with pytest.raises(EmptySdf, match="stop"):
+        case3_lift(conic_partition_seed(p, 2), m)
+    assert seen == [expected]
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 5, 8])

@@ -1,3 +1,5 @@
+import collections
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,12 +26,14 @@ def test_factor_prime_power(q, expected):
         assert factor_prime_power(q) == expected
 
 
-def _digit_field(p, m):
+def _digit_field(p, m, tower=False):
     """Force the big-field engine on a small field so it can be cross-checked."""
+    if tower:
+        make_field(p, 2)  # the shared base field keeps its tables
     saved = gfmod._TABLE_LIMIT
     gfmod._TABLE_LIMIT = 1
     try:
-        return gfmod.Field(p, m, False)
+        return gfmod.Field(p, m, tower)
     finally:
         gfmod._TABLE_LIMIT = saved
 
@@ -42,6 +46,49 @@ FIELDS = {
     "GF625t": make_field(5, 4, tower=True),
     "GF9digit": _digit_field(3, 2),
 }
+
+
+# The first irreducible of each degree in ascending encoding order, as
+# trial division by every lower-degree monic polynomial found them.
+FIRST_MODULI = {
+    (2, 3, False): (1, 1, 0, 1),
+    (2, 4, False): (1, 1, 0, 0, 1),
+    (2, 5, False): (1, 0, 1, 0, 0, 1),
+    (2, 6, False): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7, False): (1, 1, 0, 0, 0, 0, 0, 1),
+    (2, 8, False): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (3, 2, False): (1, 0, 1),
+    (3, 3, False): (1, 2, 0, 1),
+    (3, 4, False): (2, 1, 0, 0, 1),
+    (3, 5, False): (1, 2, 0, 0, 0, 1),
+    (5, 2, False): (2, 0, 1),
+    (5, 4, False): (2, 0, 0, 0, 1),
+    (5, 4, True): (5, 0, 1),
+    (11, 2, False): (1, 0, 1),
+    (23, 3, False): (3, 1, 0, 1),
+    (41, 3, False): (1, 1, 0, 1),
+    (131, 3, False): (3, 1, 0, 1),
+    (307, 5, False): (9, 1, 0, 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(FIRST_MODULI))
+def test_ben_or_keeps_the_first_irreducible(spec):
+    assert make_field(*spec).modulus == FIRST_MODULI[spec]
+
+
+def test_irreducibility_matches_trial_division():
+    p = 3
+    ops = (lambda x, y: (x + y) % p, lambda x, y: (x - y) % p,
+           lambda x, y: x * y % p, lambda x: pow(x, -1, p))
+    for degree in range(1, 6):
+        for code in range(p**degree):
+            f = gfmod._decode(code, p, degree) + [1]
+            divisible = any(
+                gfmod._pmod(f, gfmod._decode(c, p, e) + [1], ops[1], ops[2])
+                == [0]
+                for e in range(1, degree // 2 + 1) for c in range(p**e))
+            assert gfmod._irreducible(f, p, *ops) == (not divisible), f
 
 
 def test_modulus_choices_are_the_first_irreducibles():
@@ -180,3 +227,90 @@ def test_tower_isomorphism_rejects_out_of_range_encodings(e):
     for fn in (to_t, from_t):
         with pytest.raises(ValueError, match="outside"):
             fn(e)
+
+
+# Every flat digit field with p = 2, 3 and m = 2..7, GF(131^3) and one
+# tower, each checked against the list-polynomial product _pmul/_pmod.
+DIGIT_FIELDS = {
+    **{f"GF({p}^{m})": _digit_field(p, m) for p in (2, 3) for m in range(2, 8)},
+    "GF(131^3)": make_field(131, 3),
+    "GF(5^4) tower": _digit_field(5, 4, tower=True),
+}
+
+
+def _reference(f):
+    """mul and the digit maps of f through _pmul/_pmod on digit lists."""
+    if f.tower:
+        b = make_field(f.p, 2)
+        sq, sadd, ssub, smul = f.p ** 2, b.add, b.sub, b.mul
+    else:
+        p = sq = f.p
+        sadd = lambda x, y: (x + y) % p  # noqa: E731
+        ssub = lambda x, y: (x - y) % p  # noqa: E731
+        smul = lambda x, y: x * y % p  # noqa: E731
+
+    def to_poly(e):
+        return gfmod._decode(e, sq, len(f.modulus) - 1)
+
+    def from_poly(poly):
+        return sum(c * sq**i for i, c in enumerate(poly))
+
+    def mul(a, b):
+        prod = gfmod._pmul(to_poly(a), to_poly(b), sadd, smul)
+        return from_poly(gfmod._pmod(prod, f.modulus, ssub, smul))
+
+    def digitwise(op, a, b):
+        return f.from_coeffs([op(x, y) for x, y in zip(f.coeffs(a),
+                                                       f.coeffs(b))])
+
+    return mul, digitwise
+
+
+@pytest.mark.parametrize("name", sorted(DIGIT_FIELDS))
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_digit_engine_matches_list_polynomials(name, data):
+    f = DIGIT_FIELDS[name]
+    assert f.mul == f._raw_mul  # the digit engine, not the tables
+    ref_mul, digitwise = _reference(f)
+    enc = st.integers(min_value=0, max_value=f.q - 1)
+    a, b = data.draw(enc), data.draw(enc)
+    assert f.mul(a, b) == ref_mul(a, b)
+    assert f.add(a, b) == digitwise(int.__add__, a, b)
+    assert f.sub(a, b) == digitwise(int.__sub__, a, b)
+    assert f.neg(a) == digitwise(int.__sub__, 0, a)
+    if a:
+        inv = f.inv(a)
+        assert ref_mul(inv, a) == 1 and f.mul(a, inv) == 1
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
+
+
+def _count_own_calls(monkeypatch):
+    """Count calls through every Field's own mul and inv, as perfbench's
+    gf.calls counters do, but from the moment each closure is set, so a
+    table build that called back through self.mul would count too."""
+    calls = collections.Counter()
+
+    def set_counted(obj, name, value):
+        if name in ("mul", "inv"):
+            def value(*args, _fn=value, _key=name):
+                calls[_key] += 1
+                return _fn(*args)
+        object.__setattr__(obj, name, value)
+
+    monkeypatch.setattr(gfmod.Field, "__setattr__", set_counted)
+    return calls
+
+
+def test_builds_and_digit_inverses_make_no_counted_calls(monkeypatch):
+    calls = _count_own_calls(monkeypatch)
+    table = gfmod.Field(41, 3, False)  # exp table from the packed product
+    assert table.generator_enc() == make_field(41, 3).generator_enc()
+    assert calls == {}
+    digit = gfmod.Field(131, 3, False)
+    assert digit.generator_enc() == 131  # x, found through _raw_pow
+    units = (1, 2, 131, 12345, digit.q - 1)
+    for a in units:
+        digit.inv(a)
+    assert calls == {"inv": len(units)}
