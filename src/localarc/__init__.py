@@ -8,7 +8,6 @@ from localarc.gf import (
 )
 from localarc.plane import Plane, convert_line, convert_point, make_plane
 from localarc.arcs import (
-    KArc,
     LocalArcFamily,
     derive_phi,
     family_from_dict,
@@ -19,7 +18,6 @@ from localarc.arcs import (
     sample_verify,
     verify_local_arc,
     verify_local_arc_oracle,
-    verify_mwise,
 )
 from localarc.bounds import (
     compare_upper_bounds,

@@ -2,7 +2,7 @@
 
 A local-arc family is a collection of pairwise disjoint point sets such
 that the union of any two sets is an arc (no three points on a common
-line).  Verification comes in four flavours:
+line).  Verification comes in three flavours:
 
 * verify_local_arc        -- exact.  A family built as all translates of
                              a base (LocalArcFamily.translates, which keeps
@@ -13,8 +13,6 @@ line).  Verification comes in four flavours:
 * verify_local_arc_oracle -- literal restatement of the definition,
                              quadratic in the number of sets; guarded by a
                              size limit so it stays a cross-check tool.
-* verify_mwise            -- the m-wise strengthening: unions of any m sets
-                             must be arcs, checked via per-line set counts.
 * sample_verify           -- deterministic spot check of sampled set pairs,
                              for families too large to verify exhaustively;
                              each point's coordinates are taken once per
@@ -45,23 +43,18 @@ __all__ = [
     "Violation",
     "VerifyReport",
     "TranslationLayout",
-    "KArc",
     "LocalArcFamily",
     "is_arc",
     "secants_of",
-    "secant_family",
     "verify_local_arc",
     "verify_local_arc_oracle",
-    "verify_mwise",
     "sample_verify",
     "tangent_profile",
     "is_t_quasiarc",
-    "is_semiarc",
     "derive_phi",
     "reduce_uniformity",
     "LRCParams",
     "lrc_params",
-    "uncovered_line_count",
     "family_to_dict",
     "family_from_dict",
 ]
@@ -136,52 +129,6 @@ def secants_of(plane: Plane, points) -> tuple[int, ...]:
     return tuple(sorted(seen))
 
 
-class KArc:
-    """A single arc in canonical point order, with cached secants."""
-
-    __slots__ = ("plane", "points", "_secants")
-
-    def __init__(self, plane: Plane, points, trusted: bool = False):
-        pts = tuple(sorted(points))
-        if not trusted and not is_arc(plane, pts):
-            raise NotAnArc("three of the points are collinear")
-        self.plane = plane
-        self.points = pts
-        self._secants: tuple[int, ...] | None = None
-
-    @property
-    def secants(self) -> tuple[int, ...]:
-        if self._secants is None:
-            self._secants = secants_of(self.plane, self.points)
-        return self._secants
-
-    @property
-    def k(self) -> int:
-        return len(self.points)
-
-    def __len__(self):
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __contains__(self, pid):
-        return pid in self.points
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, KArc)
-            and other.plane is self.plane
-            and other.points == self.points
-        )
-
-    def __hash__(self):
-        return hash((id(self.plane), self.points))
-
-    def __repr__(self):
-        return f"KArc(k={self.k}, {[self.plane.point_str(p) for p in self.points]})"
-
-
 @dataclass(frozen=True)
 class TranslationLayout:
     """A planar family listed as every translate of a base in AG(2, q).
@@ -248,7 +195,7 @@ class LocalArcFamily:
     """
 
     def __init__(self, plane: Plane, sets: Sequence, k: int | None = None,
-                 provenance: str = "", validate: bool = False):
+                 provenance: str = ""):
         if isinstance(sets, (list, tuple)):
             sets = tuple(tuple(sorted(s)) for s in sets)
             if k is None:
@@ -262,10 +209,6 @@ class LocalArcFamily:
         self.k = k
         self.provenance = provenance
         self.translation: TranslationLayout | None = None
-        if validate:
-            report = verify_local_arc(self)
-            if not report.ok:
-                raise ValueError(report.violation.describe(plane))
 
     @classmethod
     def translates(cls, plane: Plane, layout: TranslationLayout,
@@ -308,11 +251,6 @@ class LocalArcFamily:
             f"LocalArcFamily(q={self.plane.q}, {self.plane.kind}, "
             f"k={self.k}, sets={self.n_sets})"
         )
-
-
-def secant_family(family: LocalArcFamily) -> tuple[tuple[int, ...], ...]:
-    """Per-set secant line ids, aligned with set order."""
-    return tuple(secants_of(family.plane, s) for s in family.sets)
 
 
 # ---------------------------------------------------------------------------
@@ -562,56 +500,6 @@ def verify_local_arc_oracle(family: LocalArcFamily, limit: int = 10_000) -> Veri
     return VerifyReport(True, "oracle", pairs)
 
 
-def verify_mwise(family: LocalArcFamily, m: int) -> VerifyReport:
-    """Unions of any m distinct sets must be arcs.
-
-    A union of m sets has three points on a line exactly when the m
-    largest per-set point counts of that line sum to 3 or more, so the
-    check runs on per-line counters instead of set unions.  m = 2 recovers
-    the pairwise rule.
-    """
-    if m < 2:
-        raise ValueError("m-wise verification needs m >= 2")
-    if m > family.n_sets:
-        raise ValueError(f"m = {m} exceeds the {family.n_sets} sets present")
-    flat, bad = _flatten(family)
-    if bad is not None:
-        return VerifyReport(False, f"mwise-{m}", 0, bad)
-    flat.sort()
-    n = len(flat)
-    join = family.plane.join
-    carriers: dict[int, set[int]] = {}
-    for ia in range(n - 1):
-        pa, _ = flat[ia]
-        for ib in range(ia + 1, n):
-            ln = join(pa, flat[ib][0])
-            grp = carriers.get(ln)
-            if grp is None:
-                carriers[ln] = {ia, ib}
-            else:
-                grp.add(ia)
-                grp.add(ib)
-    for ln in sorted(carriers):
-        counts = Counter(flat[i][1] for i in carriers[ln])
-        top = sorted(counts.values(), reverse=True)[:m]
-        if sum(top) >= 3:
-            ranked = sorted(counts, key=lambda s: (-counts[s], s))
-            chosen = []
-            weight = 0
-            for s in ranked:
-                chosen.append(s)
-                weight += counts[s]
-                if weight >= 3:
-                    break
-            pts = tuple(sorted(p for p, s in flat if s in set(chosen)
-                               and family.plane.incident(p, ln)))
-            return VerifyReport(
-                False, f"mwise-{m}", n * (n - 1) // 2,
-                Violation("collinear", tuple(sorted(chosen)), pts, line=ln),
-            )
-    return VerifyReport(True, f"mwise-{m}", n * (n - 1) // 2)
-
-
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -730,10 +618,6 @@ def is_t_quasiarc(plane: Plane, points, t: int) -> bool:
     return all(c >= t for c in tangent_profile(plane, points).values())
 
 
-def is_semiarc(plane: Plane, points, t: int) -> bool:
-    return all(c == t for c in tangent_profile(plane, points).values())
-
-
 def derive_phi(family: LocalArcFamily) -> tuple[tuple[int, ...], bool]:
     """One representative secant per set, plus the dual quasiarc check.
 
@@ -808,31 +692,27 @@ class LRCParams:
 
 
 def lrc_params(family: LocalArcFamily) -> LRCParams:
-    """Locally repairable code parameters carried by a 4-uniform family.
+    """Locally repairable code parameters carried by a 4-uniform local arc.
 
     A family of s sets yields a code of length 4s, dimension 3s - 3,
     locality 3 and distance 6 over GF(q); these meet the locality-aware
-    Singleton bound with equality.  The family is assumed verified.
+    Singleton bound with equality.  A 4-uniform family of two or more
+    sets that fails verify_local_arc raises NotVerified.
     """
     if family.k != 4:
         raise ValueError("code export is defined for 4-uniform families")
     s = family.n_sets
     if s < 2:
         raise ValueError("need at least two sets")
+    report = verify_local_arc(family)
+    if not report.ok:
+        raise NotVerified(report.violation.describe(family.plane))
     n = 4 * s
     dim = 3 * s - 3
     locality = 3
     d = 6
     optimal = d == n - dim - -(-dim // locality) + 2
     return LRCParams(n, dim, d, locality, family.plane.q, optimal)
-
-
-def uncovered_line_count(family: LocalArcFamily, pid: int) -> int:
-    """Lines through the point that avoid every secant of the family."""
-    secs = set()
-    for s in secant_family(family):
-        secs.update(s)
-    return sum(1 for l in family.plane.lines_through(pid) if l not in secs)
 
 
 # ---------------------------------------------------------------------------

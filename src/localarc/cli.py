@@ -31,12 +31,10 @@ from .construct import (
     lift_prime,
     oval_partition,
     seed_from_dict,
-    seed_to_dict,
     validate_generic,
 )
 from .sdf import SdfBasis, is_sdf_mod, max_sdf_bruteforce, sdf_subset
 from .search import (
-    check_certificate,
     emit_ilp,
     exact_max,
     parse_lp,
@@ -75,17 +73,37 @@ def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
         raise UsageError(f"bad {flag} value: {exc}") from exc
 
 
-def _apply_verification(fam: LocalArcFamily, mode: str) -> str:
-    """Run the requested verification; raises NotVerified on rejection."""
+def _parse_verify_mode(text: str, flag: str, plain: tuple[str, ...]):
+    """One of ``plain`` as given, or (samples, seed) from sample:COUNT:SEED.
+
+    An empty COUNT means 100,000 samples and an empty SEED seed 0.
+    """
+    if text in plain:
+        return text
+    usage = f"{flag} must be {', '.join(plain)} or sample:COUNT:SEED"
+    head, *fields = text.split(":")
+    if head != "sample" or not 1 <= len(fields) <= 2:
+        raise UsageError(usage)
+    count, seed = (fields + [""])[:2]
+    try:
+        samples = int(count) if count else 100_000
+        seed = int(seed) if seed else 0
+    except ValueError as exc:
+        raise UsageError(f"{usage}: {exc}") from exc
+    if samples < 1:
+        raise UsageError(f"{flag} needs at least one sample")
+    return samples, seed
+
+
+def _apply_verification(fam: LocalArcFamily, mode) -> str:
+    """Run a mode parsed by _parse_verify_mode; raises NotVerified on
+    rejection."""
     if mode == "none":
         return "skipped"
     if mode == "full":
         report = verify_local_arc(fam)
     else:
-        parts = mode.split(":")
-        samples = int(parts[1]) if len(parts) > 1 and parts[1] else 100_000
-        seed = int(parts[2]) if len(parts) > 2 and parts[2] else 0
-        report = sample_verify(fam, samples, seed=seed)
+        report = sample_verify(fam, *mode)
     if not report.ok:
         raise NotVerified(report.violation.describe(fam.plane))
     return ("full" if mode == "full"
@@ -327,6 +345,8 @@ def _cmd_lrc_params(ns: argparse.Namespace) -> int:
     fam = family_from_dict(_load_json(ns.in_path))
     try:
         params = lrc_params(fam)
+    except NotVerified:
+        raise
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if ns.fmt == "json":
@@ -459,14 +479,13 @@ _DISPATCH = {
 
 
 def _prepare(ns: argparse.Namespace) -> None:
-    """Check the verification mode and parse the list flags, in place."""
-    mode = getattr(ns, "verify_mode", "full")
+    """Parse the verification mode and the list flags, in place."""
     if ns.subcommand == "construct":
-        if mode not in ("full", "none") and not mode.startswith("sample:"):
-            raise UsageError(
-                "--verify must be full, none, or sample:COUNT:SEED")
-    elif mode != "full" and not mode.startswith("sample:"):
-        raise UsageError("--mode must be full or sample:COUNT:SEED")
+        ns.verify_mode = _parse_verify_mode(ns.verify_mode, "--verify",
+                                            ("full", "none"))
+    elif ns.subcommand == "verify":
+        ns.verify_mode = _parse_verify_mode(ns.verify_mode, "--mode",
+                                            ("full",))
     if getattr(ns, "basis", None) is not None:
         ns.basis = _parse_basis(ns.basis)
     for dest, flag in (("alphabet", "--alphabet"), ("elements", "--elements"),

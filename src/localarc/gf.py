@@ -525,8 +525,13 @@ class Field:
         return self.q
 
 
-@functools.lru_cache(maxsize=None)
 def make_field(p: int, m: int = 1, tower: bool = False) -> Field:
+    """The one shared Field for (p, m, tower), however the call spells it."""
+    return _make_field(p, m, tower)
+
+
+@functools.lru_cache(maxsize=None)
+def _make_field(p: int, m: int, tower: bool) -> Field:
     if not is_prime(p):
         raise NonPrime(f"characteristic {p} is not prime")
     if m < 1:

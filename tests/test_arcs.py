@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localarc.arcs import (
-    KArc,
     LocalArcFamily,
     NotAnArc,
     NotVerified,
@@ -20,18 +19,14 @@ from localarc.arcs import (
     family_from_dict,
     family_to_dict,
     is_arc,
-    is_semiarc,
     is_t_quasiarc,
     lrc_params,
     reduce_uniformity,
     sample_verify,
-    secant_family,
     secants_of,
     tangent_profile,
-    uncovered_line_count,
     verify_local_arc,
     verify_local_arc_oracle,
-    verify_mwise,
 )
 from localarc.construct import (
     case1_lift,
@@ -69,6 +64,10 @@ def test_column_pair_family_is_valid():
     assert verify_local_arc(fam).ok
     assert verify_local_arc_oracle(fam).ok
     assert fam.k == 2 and fam.n_sets == 5 and fam.total_points == 10
+    for other in (LocalArcFamily(P5, [(0, 6), (12, 18)]),
+                  LocalArcFamily(P5, [(P5.affine_point(0, y),)
+                                      for y in range(3)])):
+        assert verify_local_arc(other).ok == verify_local_arc_oracle(other).ok
 
 
 def test_overlap_detected_with_witness():
@@ -101,37 +100,10 @@ def test_cross_set_secant_violation():
     assert not verify_local_arc_oracle(fam).ok
 
 
-def test_three_singletons_on_a_line_pass_pairwise_fail_triplewise():
+def test_three_collinear_singletons_pass_pairwise():
+    # any two of them make a 2-point arc; the rule never looks at three sets
     fam = LocalArcFamily(P5, [(P5.affine_point(0, y),) for y in range(3)])
     assert verify_local_arc(fam).ok
-    assert verify_mwise(fam, 2).ok
-    rep = verify_mwise(fam, 3)
-    assert not rep.ok and len(rep.violation.sets) == 3
-    with pytest.raises(ValueError):
-        verify_mwise(fam, 1)
-    with pytest.raises(ValueError):
-        verify_mwise(fam, 4)
-
-
-def test_mwise_agrees_with_pairwise_at_m2():
-    fams = [
-        LocalArcFamily(P5, column_pairs(P5)),
-        LocalArcFamily(P5, [(0, 6), (12, 18)]),
-        LocalArcFamily(P5, [(P5.affine_point(0, y),) for y in range(3)]),
-    ]
-    for fam in fams:
-        assert verify_mwise(fam, 2).ok == verify_local_arc(fam).ok
-
-
-def test_oval_partition_is_mwise_for_every_m():
-    for q in (5, 7, 9, 11):
-        plane = make_plane(q, "planar")
-        pts = oval(plane)
-        for k in (2, 3):
-            n = len(pts) // k
-            fam = LocalArcFamily(plane, [tuple(pts[i * k:(i + 1) * k]) for i in range(n)])
-            for m in range(2, n + 1):
-                assert verify_mwise(fam, m).ok
 
 
 @settings(deadline=None, max_examples=250)
@@ -458,28 +430,11 @@ def test_conic_with_infinity_is_an_oval():
     pts = oval(P7)
     assert len(pts) == P7.q + 1
     assert is_arc(P7, pts)
-    assert is_semiarc(P7, pts, 1)
+    assert sorted(tangent_profile(P7, pts).values()) == [1] * 8
     assert is_t_quasiarc(P7, pts, 1)
     assert not is_t_quasiarc(P7, pts, 2)
     assert sorted(tangent_profile(P7, conic(P7)).values()) == [2] * P7.q
     assert is_t_quasiarc(P7, conic(P7), 2)
-
-
-def test_karc_validates_unless_trusted():
-    arc = KArc(P5, conic(P5))
-    assert arc.secants == secants_of(P5, arc.points)
-    with pytest.raises(NotAnArc):
-        KArc(P5, [P5.affine_point(0, y) for y in range(3)])
-    a = KArc(P5, [P5.affine_point(0, y) for y in range(3)], trusted=True)
-    assert a.k == 3 and a.points[0] in a
-
-
-def test_secant_family_alignment():
-    fam = LocalArcFamily(P5, column_pairs(P5))
-    secs = secant_family(fam)
-    assert len(secs) == fam.n_sets
-    for s, lines in zip(fam.sets, secs):
-        assert lines == (P5.join(s[0], s[1]),)
 
 
 def test_derive_phi_is_an_induced_matching():
@@ -557,19 +512,10 @@ def test_lrc_export_on_four_uniform_family():
         lrc_params(LocalArcFamily(P5, column_pairs(P5)))
     with pytest.raises(ValueError):
         lrc_params(LocalArcFamily(P7, [tuple(pts[:4])]))
-
-
-def test_uncovered_line_count_per_point():
-    empty = LocalArcFamily(P5, [])
-    assert uncovered_line_count(empty, P5.affine_point(2, 2)) == P5.q + 1
-    one = LocalArcFamily(P5, [(P5.affine_point(0, 0), P5.affine_point(1, 1))])
-    # the set's own point sits on exactly one secant
-    assert uncovered_line_count(one, P5.affine_point(0, 0)) == P5.q
-    # a point off the single secant keeps its full pencil
-    off = P5.affine_point(0, 1)
-    sec = P5.join(P5.affine_point(0, 0), P5.affine_point(1, 1))
-    assert not P5.incident(off, sec)
-    assert uncovered_line_count(one, off) == P5.q + 1
+    # four points of one line in each set: 4-uniform, not a local arc
+    columns = [tuple(P7.affine_point(x, y) for y in range(4)) for x in (0, 1)]
+    with pytest.raises(NotVerified):
+        lrc_params(LocalArcFamily(P7, columns))
 
 
 def test_family_serialisation_roundtrip():
@@ -587,5 +533,3 @@ def test_mixed_sizes_are_data_not_errors():
     fam = LocalArcFamily(P5, [(0, 6), (12,)])
     assert fam.k == 0 and fam.total_points == 3
     assert verify_local_arc(fam).ok
-    with pytest.raises(ValueError):
-        LocalArcFamily(P5, [(0, 6), (6, 12)], validate=True)

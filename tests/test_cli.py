@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from localarc import cli
 from localarc.cli import (
     EXIT_OK,
     EXIT_REJECTED,
@@ -196,6 +197,16 @@ def test_lrc_params_rejects_non_4_uniform(tmp_path, capsys):
     assert run(["lrc-params", "--in", str(path)]) == EXIT_USAGE
 
 
+def test_lrc_params_rejects_a_non_arc(tmp_path, capsys):
+    # 4-uniform, but each set lies on a vertical line x = 0 or x = 1
+    sets = [[f"({x},{y})" for y in range(4)] for x in (0, 1)]
+    path = tmp_path / "columns.json"
+    path.write_text(json.dumps({"p": 7, "sets": sets}))
+    assert run(["lrc-params", "--in", str(path)]) == EXIT_REJECTED
+    out = capsys.readouterr().out
+    assert out.startswith("rejected: ") and "n=" not in out
+
+
 def test_search_writes_certificate_and_lp(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     lp = tmp_path / "model.lp"
@@ -349,17 +360,24 @@ def test_workers_flag_is_gone():
     assert exc.value.code == EXIT_USAGE == 2
 
 
-def test_run_config_validation(capsys):
+def test_run_config_validation(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         run(["bound", "--q", "7", "--k", "3", "--format", "xml"])
     assert exc.value.code == EXIT_USAGE
     capsys.readouterr()
     # a bad mode is rejected before any family is built
-    assert run(["construct", "--method", "oval", "--q", "7", "--k", "3",
-                "--verify", "maybe"]) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.err.startswith("usage error: ")
-    assert captured.out == ""
+    monkeypatch.setattr(cli, "oval_partition",
+                        lambda *a: pytest.fail("family built"))
+    for mode in ("maybe", "sample", "sample:abc", "sample:10:x",
+                 "sample:10:1:junk", "sample:0", "sample:-5"):
+        assert run(["construct", "--method", "oval", "--q", "7", "--k", "3",
+                    "--verify", mode]) == EXIT_USAGE, mode
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ")
+        assert captured.out == ""
+    for mode in ("sample:1:2:3", "sample:x"):
+        assert run(["verify", "--in", fixture_path("example_i.json"),
+                    "--mode", mode]) == EXIT_USAGE, mode
 
 
 def test_verify_mode_none_is_usage_error(capsys):

@@ -164,6 +164,14 @@ def test_bad_parameters_rejected():
         make_field(5, 3, tower=True)
 
 
+def test_one_field_per_p_m_tower():
+    # the cache key does not depend on how the arguments are spelled
+    assert make_field(7) is make_field(7, 1) is make_field(7, 1, False)
+    assert make_field(7, m=1, tower=False) is make_field(7)
+    assert make_field(5, 4, True) is make_field(5, 4, tower=True)
+    assert make_field(5, 4, tower=True).base is make_field(5, 2, False)
+
+
 def test_is_prime_small_range():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(50):

@@ -488,10 +488,15 @@ def test_tampered_assignment_fails_model():
 
 
 def test_planar_certificate_converts():
-    from localarc.construct import oval_partition
+    from localarc.construct import conic_partition_seed, oval_partition
     fam = oval_partition(5, 2)  # planar presentation
     chk = check_certificate(fam)
     assert chk.ok
+    assert chk.objective == 3
+    # the seed builds GF(7) as make_field(7), the homogeneous target as
+    # make_field(7, 1): one field, so the conversion accepts the pair
+    chk = check_certificate(conic_partition_seed(7, 2))
+    assert chk.ok, chk.failures
     assert chk.objective == 3
 
 
