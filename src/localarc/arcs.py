@@ -104,13 +104,10 @@ def is_arc(plane: Plane, points) -> bool:
     pts = tuple(points)
     if len(set(pts)) != len(pts):
         raise ValueError("arc points must be distinct")
-    join = plane.join
-    seen = set()
-    for u, v in itertools.combinations(pts, 2):
-        ln = join(u, v)
-        if ln in seen:
-            return False
-        seen.add(ln)
+    try:
+        secants_of(plane, pts)
+    except NotAnArc:
+        return False
     return True
 
 

@@ -281,9 +281,6 @@ def _cmd_bound(ns: argparse.Namespace) -> int:
 def _cmd_search(ns: argparse.Namespace) -> int:
     res = exact_max(ns.q, ns.k, budget=ns.budget, symmetry=ns.symmetry,
                     cap=ns.cap)
-    if ns.emit_lp:
-        _write_text(ns.emit_lp, emit_ilp(ns.q, ns.k, ns.cap,
-                                         fix_first=ns.fix_first))
     if ns.certificate and res.certificate is not None:
         _write_text(ns.certificate,
                     json.dumps(family_to_dict(res.certificate),
@@ -426,9 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--budget", type=float)
     ps.add_argument("--symmetry", choices=("none", "fix-first-arc"))
     ps.add_argument("--cap", type=int)
-    ps.add_argument("--emit-lp", dest="emit_lp")
     ps.add_argument("--certificate")
-    ps.add_argument("--fix-first", dest="fix_first", action="store_true")
     common(ps)
 
     pf = sub.add_parser("sdf", help="square-difference-free sets")

@@ -119,9 +119,9 @@ class GenericSeed:
     def k(self) -> int:
         return len(self.sets[0]) if self.sets else 0
 
-    def as_family(self, modulus: int | None = None) -> LocalArcFamily:
-        """The reduction modulo a prime (default r) as a planar family."""
-        r = self.r if modulus is None else modulus
+    def as_family(self) -> LocalArcFamily:
+        """The reduction modulo r as a planar family."""
+        r = self.r
         plane = make_plane(r, "planar")
         sets = tuple(
             tuple(sorted((x % r) * r + y % r for x, y in s)) for s in self.sets
@@ -268,18 +268,8 @@ def oval_partition(q: int, k: int) -> LocalArcFamily:
     """
     if k < 2:
         raise ValueError("set size k must be at least 2")
-    field = make_field(*factor_prime_power(q))
-    if q % 2:
-        plane = make_plane(field, "planar")
-        mul = field.mul
-        pts = [x * q + mul(2 % field.p, mul(x, x)) for x in range(q)]
-        pts.append(plane.infinity_point)
-    else:
-        plane = make_plane(field, "homogeneous")
-        mul = field.mul
-        pts = [t * q + mul(t, t) for t in range(q)]
-        pts.extend([q * q + q, q * q])  # (0:0:1) and the nucleus (0:1:0)
-    pts.sort()
+    plane = make_plane(q, "planar" if q % 2 else "homogeneous")
+    pts = sorted(plane.conic())
     n = len(pts) // k
     if n == 0:
         raise KTooLarge(f"k = {k} exceeds the {len(pts)}-point oval")
@@ -294,10 +284,8 @@ def conic_partition_seed(p: int, k: int = 2) -> LocalArcFamily:
     All points affine, all secants non-vertical: the shape the extension
     liftings need.
     """
-    field = make_field(p)
-    plane = make_plane(field, "planar")
-    mul = field.mul
-    pts = [x * p + mul(2, mul(x, x)) for x in range(p)]
+    plane = make_plane(make_field(p), "planar")
+    pts = plane.conic()[:p]
     n = p // k
     if n == 0:
         raise KTooLarge(f"k = {k} exceeds the {p}-point affine arc")
@@ -490,7 +478,7 @@ def case1_lift(seed: LocalArcFamily, check: bool = True) -> LocalArcFamily:
     up = make_field(p, 2)
     plane = make_plane(up, "planar")
     alpha = up.from_coeffs((0, 1))  # the polynomial generator x
-    vs = [up.mul(g1, alpha) for g1 in range(p)]
+    vs = _poly_values(up, alpha, [(1, range(p))])
     note = (seed.provenance + "|" if seed.provenance else "") + f"case1(p={p})"
     return _plan(plane, _sorted_layout(coords, [0], vs), seed.k,
                  seed.n_sets * p, note, check)
@@ -519,31 +507,26 @@ def case2_lift(seed: LocalArcFamily, t: int, check: bool = True) -> LocalArcFami
     s = (t + 1) // 2
     p2 = p * p
 
-    powers = [1]
-    for _ in range(t):
-        powers.append(tw.mul(powers[-1], alpha))
-
-    f_vals = _poly_values(tw, powers, [(i, range(p2)) for i in range(1, s)])
+    f_vals = _poly_values(tw, alpha, [(i, range(p2)) for i in range(1, s)])
     alpha_fp = sorted(tw.mul(alpha, c) for c in range(p))
     g_alphabets = [
         (i, range(p2) if i % 2 else alpha_fp) for i in range(1, t)
     ]
-    g_vals = _poly_values(tw, powers, g_alphabets)
+    g_vals = _poly_values(tw, alpha, g_alphabets)
     expected = seed.n_sets * (p ** (5 * (s - 1)) if t % 2 else p ** (5 * s - 3))
     note = (seed.provenance + "|" if seed.provenance else "") + f"case2(p={p},t={t})"
     return _plan(plane, _sorted_layout(coords, f_vals, g_vals), seed.k,
                  expected, note, check)
 
 
-def _poly_values(field: Field, powers, alphabets) -> list[int]:
-    """All sums c_i * alpha^i with c_i running over alphabets[(i, ...)]."""
+def _poly_values(field: Field, alpha: int, alphabets) -> list[int]:
+    """All sums of c_i * alpha^i, c_i running over the alphabet of each
+    (i, alphabet) place, in the order of the digit tuples."""
     vals = [0]
     for i, alphabet in alphabets:
-        vals = [
-            field.add(v, field.mul(c, powers[i]))
-            for v in vals
-            for c in alphabet
-        ]
+        a_i = field.pow(alpha, i)
+        terms = [field.mul(c, a_i) for c in alphabet]
+        vals = [field.add(v, term) for v in vals for term in terms]
     return vals
 
 
@@ -620,20 +603,15 @@ def case3_lift(
     up = make_field(p, m)
     plane = make_plane(up, "planar")
     alpha = up.from_coeffs((0, 1))  # the polynomial generator x
-    powers = [1]
-    for _ in range(m):
-        powers.append(up.mul(powers[-1], alpha))
 
     f_range = math.isqrt(int(p // M2))
     f_vals = _poly_values(
-        up, powers, [(i, range(1, f_range + 1)) for i in range(1, t)]
+        up, alpha, [(i, range(1, f_range + 1)) for i in range(1, t)]
     )
     if not f_vals:
         raise EmptySdf(f"floor(sqrt(p/M2)) = {f_range} leaves no f-coefficients")
     g_vals = _poly_values(
-        up,
-        powers,
-        [(i, range(p) if i % 2 else alphabet) for i in range(1, m)],
+        up, alpha, [(i, range(p) if i % 2 else alphabet) for i in range(1, m)]
     )
     n_odd = sum(1 for i in range(1, m) if i % 2)
     n_even = m - 1 - n_odd

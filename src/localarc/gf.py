@@ -36,7 +36,6 @@ table-engine mul, so the tables stay wherever they fit.
 from __future__ import annotations
 
 import functools
-import math
 from typing import Callable, Sequence
 
 __all__ = [
@@ -82,19 +81,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _iroot(n: int, m: int) -> int:
+    """floor(n ** (1/m)) for n >= 1, by integer Newton steps from above."""
+    r = 1 << -(-n.bit_length() // m)
+    while (s := ((m - 1) * r + n // r ** (m - 1)) // m) < r:
+        r = s
+    return r
+
+
 def factor_prime_power(q: int) -> tuple[int, int]:
     """(p, m) with q = p**m and p prime; ValueError for any other q."""
-    if q >= 2:
-        if is_prime(q):
-            return q, 1
-        # the smallest divisor above 1 is prime
-        p = next(d for d in range(2, math.isqrt(q) + 1) if q % d == 0)
-        m, rest = 0, q
-        while rest % p == 0:
-            rest //= p
-            m += 1
-        if rest == 1:
-            return p, m
+    for m in range(1, max(q, 1).bit_length()):
+        r = _iroot(q, m)
+        if r ** m == q and is_prime(r):
+            return r, m
     raise ValueError(f"q = {q} is not a prime power")
 
 
@@ -264,6 +264,17 @@ def _packed_mul(p: int, mod: Sequence[int]) -> Callable[[int, int], int]:
     return mul
 
 
+def _power(mul: Callable[[int, int], int], a: int, e: int) -> int:
+    """a**e for e >= 0 by square-and-multiply over the product mul."""
+    out = 1
+    while e:
+        if e & 1:
+            out = mul(out, a)
+        a = mul(a, a)
+        e >>= 1
+    return out
+
+
 class Field:
     """One finite field; construct through make_field so instances are shared."""
 
@@ -275,14 +286,14 @@ class Field:
         self.base: Field | None = None
         self._gen: int | None = None  # set by the table engine, else lazily
 
+        # _raw_mul is the product that the table build, the generator
+        # search and the digit engine's mul share; it stays apart from
+        # self.mul, so a wrapper put on an instance's mul (a call
+        # counter) sees only the callers' multiplications
         if m == 1:
             self.modulus: tuple[int, ...] = ()
             self._init_prime()
         else:
-            # _raw_mul is the product that the table build, the generator
-            # search and the digit engine's mul share; it stays apart from
-            # self.mul, so a wrapper put on an instance's mul (a call
-            # counter) sees only the callers' multiplications
             if tower:
                 self.base = b = make_field(p, 2)
                 self._scalar = (p * p, b.add, b.sub, b.mul, b.inv)
@@ -325,6 +336,7 @@ class Field:
 
         self.add, self.sub, self.neg = add, sub, neg
         self.mul, self.inv = mul, inv
+        self._raw_mul = mul
 
     def _digit_closures(self):
         p = self.p
@@ -381,23 +393,14 @@ class Field:
         prod = _pmul(self._enc_to_poly(a), self._enc_to_poly(b), sadd, smul)
         return self._poly_to_enc(_pmod(prod, self.modulus, ssub, smul))
 
-    def _raw_pow(self, a: int, e: int) -> int:
-        out, cur = 1, a
-        while e:
-            if e & 1:
-                out = self._raw_mul(out, cur)
-            cur = self._raw_mul(cur, cur)
-            e >>= 1
-        return out
-
     def _find_generator(self) -> int:
         q = self.q
         if q == 2:
             return 1
         factors = _prime_factors(q - 1)
-        powf = self._raw_pow if self.m > 1 else lambda a, e: pow(a, e, self.p)
         for c in range(2, q):
-            if all(powf(c, (q - 1) // f) != 1 for f in factors):
+            if all(_power(self._raw_mul, c, (q - 1) // f) != 1
+                   for f in factors):
                 return c
         raise RuntimeError("multiplicative group of a finite field is cyclic")
 
@@ -499,13 +502,7 @@ class Field:
         """a**e by square-and-multiply; a negative e inverts a first."""
         if e < 0:
             a, e = self.inv(a), -e
-        out = 1
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return out
+        return _power(self.mul, a, e)
 
     def is_square_enc(self, a: int) -> bool:
         """Euler's criterion; every element is a square in characteristic 2."""

@@ -83,27 +83,6 @@ def _planar_closures(field: Field):
         d = sub(x0, z)
         return z * q + sub(y0, mul(d, d))
 
-    def meet(u, v):
-        # distinct line ids -> id of the unique common point
-        if u > v:
-            u, v = v, u
-        if u >= q2:
-            return IPT
-        a0, b0 = divmod(u, q)
-        if v < q2:
-            a1, b1 = divmod(v, q)
-            if a0 == a1:
-                return q2 + a0
-            num = add(sub(b1, b0), sub(mul(a1, a1), mul(a0, a0)))
-            x = mul(num, inv(mul(two, sub(a1, a0))))
-            d = sub(x, a0)
-            return x * q + add(b0, mul(d, d))
-        if v == ILINE:
-            return q2 + a0
-        c = v - q2
-        d = sub(c, a0)
-        return c * q + add(b0, mul(d, d))
-
     def incident(pid, lid):
         if lid < q2:
             a, b = divmod(lid, q)
@@ -132,16 +111,19 @@ def _planar_closures(field: Field):
             return tuple(c * q + y for y in range(q)) + (IPT,)
         return tuple(range(q2, q2 + q + 1))
 
+    def dual(i):
+        # the polarity (x, y) <-> [x, -y], (z) <-> [z], (inf) <-> [inf]:
+        # (x, y) lies on [a, b] exactly when (a, -b) lies on [x, -y]
+        if i >= q2:
+            return i
+        x, y = divmod(i, q)
+        return x * q + neg(y)
+
+    def meet(u, v):
+        return dual(join(dual(u), dual(v)))
+
     def lines_through(pid):
-        if pid < q2:
-            x, y = divmod(pid, q)
-            lns = [a * q + sub(y, mul(sub(x, a), sub(x, a))) for a in range(q)]
-            lns.append(q2 + x)
-            return tuple(lns)
-        if pid < IPT:
-            z = pid - q2
-            return tuple(z * q + b for b in range(q)) + (ILINE,)
-        return tuple(range(q2, q2 + q + 1))
+        return tuple(map(dual, points_on(dual(pid))))
 
     def coords(pid):
         # (x, y) -> (1 : x : y - x^2), (z) -> (0 : 1 : -2z), (inf) -> (0 : 0 : 1)
@@ -152,7 +134,7 @@ def _planar_closures(field: Field):
             return 0, 1, neg(mul(two, pid - q2))
         return 0, 0, 1
 
-    return join, meet, incident, points_on, lines_through, coords
+    return join, meet, incident, points_on, lines_through, coords, dual
 
 
 def _homog_closures(field: Field):
@@ -208,7 +190,8 @@ def _homog_closures(field: Field):
             return tuple(u * q + v for v in range(q)) + (LAST,)
         return tuple(range(q2, q2 + q + 1))
 
-    return cross, cross, incident, solutions, solutions, unpack
+    # the polarity (x0 : x1 : x2) <-> <x0 : x1 : x2> keeps every id
+    return cross, cross, incident, solutions, solutions, unpack, lambda i: i
 
 
 class Plane:
@@ -217,7 +200,10 @@ class Plane:
     ``coords(pid)`` is the point's normalised homogeneous triple (first
     nonzero coordinate 1), the same in both presentations: the triple of
     the module docstring's maps for a planar id, the packed triple for a
-    homogeneous one.
+    homogeneous one.  ``dual(i)`` swaps points and lines by a polarity
+    that keeps incidence, ``incident(p, l) == incident(dual(l), dual(p))``,
+    so ``meet`` and ``lines_through`` are ``join`` and ``points_on``
+    seen through it.
     """
 
     def __init__(self, field: Field, kind: str = "planar"):
@@ -232,9 +218,24 @@ class Plane:
         self.n_lines = self.n_points
         build = _planar_closures if kind == "planar" else _homog_closures
         (self.join, self.meet, self.incident, self.points_on,
-         self.lines_through, self.coords) = build(field)
+         self.lines_through, self.coords, self.dual) = build(field)
         self.infinity_point = self.q * self.q + self.q
         self.infinity_line = self.q * self.q + self.q
+
+    def conic(self) -> list[int]:
+        """Ids of the conic x1^2 = x0 x2: (1 : t : t^2) in t order, then
+        (0 : 0 : 1), planar (t, 2t^2) and (inf); for even q then the
+        nucleus (0 : 1 : 0), completing a hyperoval."""
+        f, q = self.field, self.q
+        pts = []
+        for t in range(q):
+            s = f.mul(t, t)
+            # the planar (x, y) is (1 : x : y - x^2)
+            pts.append(t * q + (f.add(s, s) if self.kind == "planar" else s))
+        pts.append(self.infinity_point)
+        if q % 2 == 0:
+            pts.append(q * q)
+        return pts
 
     # -- checked wrappers ---------------------------------------------------
 

@@ -76,17 +76,6 @@ class _Timeout(Exception):
     pass
 
 
-def _conic_points(plane: Plane) -> list[int]:
-    """A maximum arc: conic plus infinity point, plus nucleus if q even."""
-    f = plane.field
-    q = plane.q
-    pts = [t * q + f.mul(t, t) for t in range(q)]
-    pts.append(q * q + q)
-    if q % 2 == 0:
-        pts.append(q * q)
-    return sorted(pts)
-
-
 def _greedy_arc(plane: Plane, k: int) -> list[int]:
     """Smallest k point ids that pairwise span distinct lines.
 
@@ -164,7 +153,7 @@ def exact_max(
     eff_cap = hard_cap if cap is None else min(cap, hard_cap)
 
     if eff_cap <= 1:
-        single = sorted(_conic_points(plane)[:k])
+        single = sorted(plane.conic())[:k]
         fam = LocalArcFamily(plane, [tuple(single)],
                              provenance=f"search(q={q},k={k})")
         _require_verified(fam)
@@ -331,22 +320,13 @@ def _dfs(
     try:
         if symmetry == "fix-first-arc":
             first = _greedy_arc(plane, k)
-            allowed = (1 << n) - 1
+            shut = 0
             for p in first:
-                if not allowed >> p & 1:
+                if shut >> p & 1:
                     raise RuntimeError("the greedy arc does not fit an "
                                        "empty family")
-                allowed &= ~add(p)
-            undo0 = fold()
-            cur.clear()
-            state["best"] = 1
-            state["best_sets"] = [list(first)]
-            if cap <= 1:
-                state["stop"] = True
-            else:
-                open_set(first[0] + 1)
-            cur.extend(first)
-            unfold(undo0)
+                shut |= add(p)
+            complete_set()
             for p in reversed(first):
                 remove(p)
         else:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import shlex
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -211,10 +213,11 @@ def test_search_writes_certificate_and_lp(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     lp = tmp_path / "model.lp"
     assert run(["search", "--q", "7", "--k", "4",
-                "--certificate", str(cert), "--emit-lp", str(lp),
-                "--fix-first"]) == EXIT_OK
+                "--certificate", str(cert)]) == EXIT_OK
     out = capsys.readouterr().out
     assert "found=3" in out and "optimal=True" in out
+    assert run(["ilp-export", "--q", "7", "--k", "4", "--fix-first",
+                "--out", str(lp)]) == EXIT_OK
 
     from localarc.arcs import family_from_dict, verify_local_arc
     from localarc.search import check_certificate
@@ -358,6 +361,41 @@ def test_workers_flag_is_gone():
     with pytest.raises(SystemExit) as exc:
         run(["search", "--q", "3", "--k", "2", "--workers", "2"])
     assert exc.value.code == EXIT_USAGE == 2
+
+
+def test_search_lp_flags_are_gone():
+    # ilp-export writes the model, with --fix-first, so search does not
+    for flags in (["--emit-lp", "m.lp"], ["--fix-first"]):
+        with pytest.raises(SystemExit) as exc:
+            run(["search", "--q", "4", "--k", "3", *flags])
+        assert exc.value.code == EXIT_USAGE
+
+
+def _readme_commands() -> list[str]:
+    """The localarc lines of the README's CLI block, continuations joined
+    and comments dropped."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands, pending = [], ""
+    for line in block.splitlines():
+        line = pending + line.split("#", 1)[0].strip()
+        pending = ""
+        if line.endswith("\\"):
+            pending = line[:-1]
+        elif line:
+            commands.append(line)
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) > 10
+    parser = cli._build_parser()
+    for command in commands:
+        argv = shlex.split(command)
+        assert argv[0] == "localarc", command
+        parser.parse_args(argv[1:])
 
 
 def test_run_config_validation(capsys, monkeypatch):

@@ -17,6 +17,7 @@ from localarc.gf import (
 @pytest.mark.parametrize("q,expected", [
     (1, None), (2, (2, 1)), (12, None), (49, (7, 2)), (64, (2, 6)),
     (10000019, (10000019, 1)), (131 ** 3, (131, 3)), (2 * 3 ** 5, None),
+    ((10 ** 9 + 7) ** 2, (10 ** 9 + 7, 2)), (3 ** 40, (3, 40)),
 ])
 def test_factor_prime_power(q, expected):
     if expected is None:
@@ -317,7 +318,7 @@ def test_builds_and_digit_inverses_make_no_counted_calls(monkeypatch):
     assert table.generator_enc() == make_field(41, 3).generator_enc()
     assert calls == {}
     digit = gfmod.Field(131, 3, False)
-    assert digit.generator_enc() == 131  # x, found through _raw_pow
+    assert digit.generator_enc() == 131  # x, found through _raw_mul
     units = (1, 2, 131, 12345, digit.q - 1)
     for a in units:
         digit.inv(a)

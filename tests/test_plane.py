@@ -175,3 +175,25 @@ def test_join_meet_duality(data):
     assert pl.incident(p, u) and pl.incident(p, v)
     with pytest.raises(ValueError):
         pl.line_through(u, u)
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_planar_dual_is_an_incidence_preserving_involution(q):
+    pl = make_plane(q, "planar")
+    n = pl.n_points
+    assert all(pl.dual(pl.dual(i)) == i for i in range(n))
+    for p in range(n):
+        for l in range(n):
+            assert pl.incident(p, l) == pl.incident(pl.dual(l), pl.dual(p))
+
+
+@pytest.mark.parametrize("q", [4, 5, 9])
+def test_conic_is_one_oval_in_both_presentations(q):
+    from localarc.arcs import is_arc
+    homog = make_plane(q, "homogeneous")
+    assert len(homog.conic()) == q + 1 + (q % 2 == 0)
+    assert is_arc(homog, homog.conic())
+    if q % 2:
+        planar = make_plane(q, "planar")
+        assert [convert_point(planar, homog, p)
+                for p in planar.conic()] == homog.conic()
