@@ -14,10 +14,15 @@ line).  Verification comes in three flavours:
                              quadratic in the number of sets; guarded by a
                              size limit so it stays a cross-check tool.
 * sample_verify           -- deterministic spot check of sampled set pairs,
-                             for families too large to verify exhaustively;
-                             each point's coordinates are taken once per
-                             pair and each triple pivoted on its first
-                             point, two multiplications per triple.
+                             for families too large to verify exhaustively.
+                             A translation family decides a pair from its
+                             base: 2k·C(k, 2) multiplications once per
+                             (si, sj, du), then two subtractions and one
+                             lookup per sample.  Other pairs take each
+                             point's coordinates once and pivot each
+                             triple on its first point, two
+                             multiplications per triple (46 per pair
+                             for k = 3).
 
 Points are plane ids; sets are sorted tuples.  Families may hold any
 sequence type, so constructions can hand over lazily generated sets.
@@ -346,6 +351,54 @@ def _differences(add, neg, offsets):
     return out, twin
 
 
+def _secant_table(plane: Plane, base_set):
+    """The secants of an affine base set split by kind: the (a, b) of
+    each flat line [a, b] and the c of each vertical [c]; None when the
+    set repeats a point or holds three collinear points."""
+    q = plane.q
+    pids = [x * q + y for x, y in base_set]
+    if len(set(pids)) < len(pids):
+        return None
+    try:
+        lids = secants_of(plane, pids)
+    except NotAnArc:
+        return None
+    flat, vertical = [], []
+    for lid in lids:
+        if lid < q * q:
+            flat.append(divmod(lid, q))
+        else:
+            vertical.append(lid - q * q)
+    return flat, vertical
+
+
+def _bad_dv(f, base_i, secants_i, base_j, secants_j, d_u):
+    """(every, bad) for S_i and S_j moved by (d_u, dv): bad holds each dv
+    that puts a point of S_j + (d_u, dv) on a flat secant of S_i or a
+    point of S_i - (d_u, dv) on a flat secant of S_j, and every is set
+    when a vertical secant is met whatever dv is.  secants_i and
+    secants_j are the _secant_table of the two base sets; 2k·C(k, 2)
+    multiplications for two arcs of k points."""
+    add, sub, mul = f.add, f.sub, f.mul
+    flat_i, vert_i = secants_i
+    flat_j, vert_j = secants_j
+    bad = set()
+    every = False
+    for x, y in base_j:
+        x = add(x, d_u)
+        every = every or x in vert_i
+        for a, c in flat_i:
+            e = sub(x, a)
+            bad.add(add(sub(mul(e, e), y), c))
+    for x, y in base_i:
+        x = sub(x, d_u)
+        every = every or x in vert_j
+        for a, c in flat_j:
+            e = sub(x, a)
+            bad.add(sub(sub(y, c), mul(e, e)))
+    return every, bad
+
+
 def _verify_translates(family: LocalArcFamily) -> VerifyReport:
     """Exact check of a translation family from its base and T - T.
 
@@ -370,8 +423,7 @@ def _verify_translates(family: LocalArcFamily) -> VerifyReport:
     """
     plane = family.plane
     f = plane.field
-    add, sub, mul = f.add, f.sub, f.mul
-    q = plane.q
+    add, sub = f.add, f.sub
     layout = family.translation
     base = layout.base
     b = len(base)
@@ -394,17 +446,11 @@ def _verify_translates(family: LocalArcFamily) -> VerifyReport:
 
     secants = []
     for si, s in enumerate(base):
-        pids = [x * q + y for x, y in s]
-        if len(set(pids)) < len(pids) or not is_arc(plane, pids):
+        table = _secant_table(plane, s)
+        if table is None:
             return VerifyReport(False, "translation", si + 1,
                                 _named_violation(family, [si]))
-        flat, vertical = [], []
-        for lid in secants_of(plane, pids):
-            if lid < q * q:
-                flat.append(divmod(lid, q))
-            else:
-                vertical.append(lid - q * q)
-        secants.append((flat, vertical))
+        secants.append(table)
 
     for si in range(b):
         for sj in range(si, b):
@@ -418,24 +464,10 @@ def _verify_translates(family: LocalArcFamily) -> VerifyReport:
     dv_pos = {d: i for i, d in enumerate(dv_keys)}
     done = b
     for si in range(b):
-        flat_i, vert_i = secants[si]
         for sj in range(si, b):
-            flat_j, vert_j = secants[sj]
             for d_u in du:
-                bad = set()
-                every = False  # a vertical secant is met whatever dv is
-                for x, y in base[sj]:
-                    x = add(x, d_u)
-                    every = every or x in vert_i
-                    for a, c in flat_i:
-                        e = sub(x, a)
-                        bad.add(add(sub(mul(e, e), y), c))
-                for x, y in base[si]:
-                    x = sub(x, d_u)
-                    every = every or x in vert_j
-                    for a, c in flat_j:
-                        e = sub(x, a)
-                        bad.add(sub(sub(y, c), mul(e, e)))
+                every, bad = _bad_dv(f, base[si], secants[si],
+                                     base[sj], secants[sj], d_u)
                 # (i, i, 0) is the single-set check made above
                 skip = si == sj and d_u == 0
                 if skip:
@@ -542,6 +574,62 @@ def _first_collinear(pts, sub, mul):
     return None
 
 
+# (si, sj, du) keys whose (every, bad) sample_verify keeps; past it they
+# are recomputed on each use
+_BAD_DV_KEYS = 1 << 15
+
+
+def _translation_verdict(family: LocalArcFamily):
+    """verdict(a, b) for two sets of a translation family: True when the
+    pair is clean, False when it violates, None when it cannot be told
+    from the base.
+
+    Sets a = S_si + (us[iu], vs[iv]) and b = S_sj + (us[ju], vs[jv])
+    move together onto S_si and S_sj + delta, delta = (du, dv) the
+    offset difference.  When both base sets are arcs of at least two
+    distinct points, each point of one set that is a point of the other
+    lies on a secant of it, so the pair violates (overlap or collinear
+    triple) exactly when _bad_dv flags dv for (si, sj, du).  Those
+    verdicts are cached per (si, sj, du); any other pair gets None.
+    """
+    plane = family.plane
+    f = plane.field
+    sub = f.sub
+    layout = family.translation
+    base, us, vs = layout.base, layout.us, layout.vs
+    nb, nv, q = len(base), len(vs), plane.q
+    tables: dict = {}
+    cache: dict = {}
+
+    def table(si):
+        if si not in tables:
+            s = base[si]
+            tables[si] = _secant_table(plane, s) if len(s) >= 2 else None
+        return tables[si]
+
+    def verdict(a, b):
+        # the index arithmetic of _Translates.__getitem__
+        ti, si = divmod(a, nb)
+        tj, sj = divmod(b, nb)
+        iu, iv = divmod(ti, nv)
+        ju, jv = divmod(tj, nv)
+        d_u = sub(us[ju], us[iu])
+        key = (si * nb + sj) * q + d_u
+        hit = cache.get(key)
+        if hit is None:
+            sec_i, sec_j = table(si), table(sj)
+            if sec_i is None or sec_j is None:
+                return None
+            every, bad = _bad_dv(f, base[si], sec_i, base[sj], sec_j, d_u)
+            hit = every, tuple(bad)  # a few values: smaller than a set
+            if len(cache) < _BAD_DV_KEYS:
+                cache[key] = hit
+        every, bad = hit
+        return not (every or sub(vs[jv], vs[iv]) in bad)
+
+    return verdict
+
+
 def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> VerifyReport:
     """Deterministic spot check of sampled set pairs.
 
@@ -560,6 +648,15 @@ def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> Verify
     3 x 3 determinant (_first_collinear).  Two affine k-sets of the
     planar presentation thus cost 2k + 2·C(2k, 3) multiplications per
     sample: 46 for k = 3, 12 for k = 2.
+
+    A translation family (one with a TranslationLayout) builds no set
+    for a pair it can decide from its base (_translation_verdict): the
+    dv that make base sets si and sj collide at x-offset du cost
+    2k·C(k, 2) multiplications once per (si, sj, du), and a sample then
+    costs two subtractions and one lookup.  Pairs it flags, and pairs
+    with a base set of fewer than two distinct points or with three
+    collinear points, take the treatment above, so the report is the
+    same either way.
     """
     if samples < 1:
         raise ValueError("at least one sample is required")
@@ -571,11 +668,18 @@ def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> Verify
     sub, mul = f.sub, f.mul
     coords = plane.coords
     sets = family.sets
+    verdict = (_translation_verdict(family)
+               if family.translation is not None else None)
+    clean = None
     for t in range(samples):
         a = _sample_stream(seed, 2 * t) % s
         b = _sample_stream(seed, 2 * t + 1) % (s - 1)
         if b >= a:
             b += 1
+        if verdict is not None:
+            clean = verdict(a, b)
+            if clean:
+                continue
         sa, sb = sets[a], sets[b]
         common = set(sa) & set(sb)
         if common:
@@ -594,6 +698,9 @@ def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> Verify
                           tuple(sorted((u, v, w))), line=plane.join(u, v)),
                 seed=seed,
             )
+        if clean is False:
+            raise RuntimeError(f"sets {sorted((a, b))} pass the sampled "
+                               f"check that the translation verdict rejected")
     return VerifyReport(True, "sample", samples, seed=seed)
 
 

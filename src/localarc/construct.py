@@ -121,12 +121,15 @@ class GenericSeed:
 
     def as_family(self) -> LocalArcFamily:
         """The reduction modulo r as a planar family."""
-        r = self.r
-        plane = make_plane(r, "planar")
-        sets = tuple(
-            tuple(sorted((x % r) * r + y % r for x, y in s)) for s in self.sets
-        )
-        return LocalArcFamily(plane, sets, provenance=f"generic(k={self.k},r={self.r})")
+        plane = make_plane(self.r, "planar")
+        return LocalArcFamily(plane, _reduce_mod(self.sets, self.r),
+                              provenance=f"generic(k={self.k},r={self.r})")
+
+
+def _reduce_mod(sets, r: int) -> tuple[tuple[int, ...], ...]:
+    """Integer (x, y) sets reduced modulo r, as sorted planar point ids."""
+    return tuple(tuple(sorted((x % r) * r + y % r for x, y in s))
+                 for s in sets)
 
 
 @dataclass(frozen=True)
@@ -159,9 +162,7 @@ def validate_generic(sets, secants, r: int) -> GenericVerdict:
         failures.append("negative coordinates")
 
     plane = make_plane(r, "planar")
-    fam_sets = tuple(
-        tuple(sorted((x % r) * r + y % r for x, y in s)) for s in sets
-    )
+    fam_sets = _reduce_mod(sets, r)
     cond_a = all(len(set(s)) == len(s) for s in fam_sets)
     if cond_a:
         cond_a = verify_local_arc(LocalArcFamily(plane, fam_sets)).ok

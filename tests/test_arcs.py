@@ -11,8 +11,10 @@ from localarc.arcs import (
     NotAnArc,
     NotVerified,
     TooLarge,
+    TranslationLayout,
     VerifyReport,
     Violation,
+    _Translates,
     _first_collinear,
     _sample_stream,
     derive_phi,
@@ -29,17 +31,24 @@ from localarc.arcs import (
     verify_local_arc_oracle,
 )
 from localarc.construct import (
+    GenericSeed,
     case1_lift,
     case2_lift,
     column_pair_seed,
     conic_partition_seed,
+    lift_prime,
 )
 from localarc.plane import make_plane
+from localarc.sdf import BASIS_5
 
 P5 = make_plane(5, "planar")
 P7 = make_plane(7, "planar")
 P13 = make_plane(13, "planar")
 H4 = make_plane(4, "homogeneous")
+
+# the wide-window seed whose lift at p = 1031 lists twin translates
+EX1_SEED = GenericSeed((((0, 4), (4, 4)), ((0, 3), (2, 3)), ((1, 3), (3, 3))),
+                       (((2, 0),), ((1, 2),), ((2, 2),)), 5, 8)
 
 
 def column_pairs(plane):
@@ -406,6 +415,95 @@ def test_sample_verify_equals_reference_on_accepted_lifts(build):
         rep = sample_verify(fam, 2000, seed=seed)
         assert rep.ok and rep.pairs_checked == 2000
         assert rep == reference_sample_verify(fam, 2000, seed=seed)
+
+
+def random_base_set(rng, plane, kind):
+    """Affine (x, y) coordinates of one base set of the given kind."""
+    f, q = plane.field, plane.q
+    affine = [p for p in random_arc(rng, plane) if p < q * q]
+    if kind == "arc":
+        return [divmod(p, q) for p in affine[:rng.randint(2, 3)]]
+    x, y = rng.randrange(q), rng.randrange(q)
+    if kind == "vertical":
+        # two points of one column, so the set has a vertical secant
+        return [(x, y), (x, f.add(y, 1 + rng.randrange(q - 1)))]
+    if kind == "collinear":
+        a, b = rng.randrange(q), rng.randrange(q)
+        return [(u, f.add(b, f.mul(f.sub(u, a), f.sub(u, a))))
+                for u in rng.sample(range(q), 3)]
+    if kind == "repeat":
+        return [(x, y), (x, y), divmod(affine[0], q)]
+    if kind == "one":
+        return [(x, y)]
+    return []
+
+
+def random_translation_family(rng, plane):
+    """Translates of a few small base sets, mostly arcs, by offset lists
+    that may list an offset twice."""
+    kinds = ("arc", "arc", "arc", "vertical", "collinear", "repeat", "one",
+             "empty")
+    base = tuple(tuple(random_base_set(rng, plane, rng.choice(kinds)))
+                 for _ in range(rng.randint(1, 3)))
+
+    def offsets():
+        out = rng.sample(range(plane.q), rng.randint(1, 3))
+        if rng.random() < 0.15:
+            out.append(rng.choice(out))
+        return tuple(out)
+
+    return LocalArcFamily.translates(
+        plane, TranslationLayout(base, offsets(), offsets()))
+
+
+def test_sample_verify_equals_reference_on_translation_families():
+    rng = random.Random(20261019)
+    planes = [make_plane(q, "planar") for q in (5, 7, 9, 11, 25)]
+    kinds = Counter()
+    for n in range(500):
+        fam = random_translation_family(rng, planes[n % len(planes)])
+        samples, seed = rng.randint(1, 12), rng.randrange(1 << 32)
+        rep = sample_verify(fam, samples, seed=seed)
+        assert rep == reference_sample_verify(fam, samples, seed=seed), (
+            fam.plane, fam.translation, samples, seed)
+        kinds[rep.violation.kind if rep.violation else "ok"] += 1
+    assert min(kinds[kind] for kind in ("ok", "overlap", "collinear")) >= 30
+
+
+def test_sample_verify_equals_reference_on_the_wide_window_lift():
+    fam = lift_prime(EX1_SEED, BASIS_5, 1031, check=False)
+    verdicts = set()
+    for seed in range(20):
+        rep = sample_verify(fam, 60, seed=seed)
+        assert rep == reference_sample_verify(fam, 60, seed=seed), seed
+        verdicts.add(rep.ok)
+    assert verdicts == {True, False}
+
+
+def test_sampled_translation_pairs_build_sets_only_to_name_a_violation(
+        monkeypatch):
+    looked_up = []
+    lookup = _Translates.__getitem__
+
+    def counted(self, i):
+        looked_up.append(i)
+        return lookup(self, i)
+
+    monkeypatch.setattr(_Translates, "__getitem__", counted)
+    fam = case1_lift(conic_partition_seed(11, 2))
+    looked_up.clear()
+    assert sample_verify(fam, 2000, seed=3).ok
+    assert looked_up == []
+
+    fam = lift_prime(EX1_SEED, BASIS_5, 1031, check=False)
+    for seed in range(20):
+        looked_up.clear()
+        rep = sample_verify(fam, 60, seed=seed)
+        if not rep.ok:
+            assert sorted(looked_up) == list(rep.violation.sets)
+            break
+    else:
+        raise AssertionError("no seed rejects the wide-window lift")
 
 
 def test_is_arc_and_secants():
