@@ -24,6 +24,10 @@ line).  Verification comes in three flavours:
                              multiplications per triple (46 per pair
                              for k = 3).
 
+Both translation checks decode a set number with TranslationLayout.locate,
+the inverse of TranslationLayout.index, as the lazy sets do, and read the
+base sets' secants from one list (_secant_tables).
+
 Points are plane ids; sets are sorted tuples.  Families may hold any
 sequence type, so constructions can hand over lazily generated sets.
 Mixed-size families are legal data (k reports 0); operations that need
@@ -152,11 +156,17 @@ class TranslationLayout:
     def index(self, si: int, iu: int, iv: int) -> int:
         return (iu * len(self.vs) + iv) * len(self.base) + si
 
+    def locate(self, i: int) -> tuple[int, int, int]:
+        """(si, iu, iv) of set i, the inverse of index()."""
+        ti, si = divmod(i, len(self.base))
+        iu, iv = divmod(ti, len(self.vs))
+        return si, iu, iv
+
 
 class _Translates:
     """Lazy read-only sequence of the sets a TranslationLayout lists.
 
-    Item i is set i as sorted point ids, the inverse of layout.index().
+    Item i is set i as sorted point ids, placed by layout.locate().
     """
 
     __slots__ = ("layout", "add", "q", "n")
@@ -176,8 +186,7 @@ class _Translates:
         if not 0 <= i < self.n:
             raise IndexError(i)
         lay, add, q = self.layout, self.add, self.q
-        ti, si = divmod(i, len(lay.base))
-        iu, iv = divmod(ti, len(lay.vs))
+        si, iu, iv = lay.locate(i)
         u, v = lay.us[iu], lay.vs[iv]
         return tuple(sorted(add(x, u) * q + add(y, v)
                             for x, y in lay.base[si]))
@@ -372,6 +381,12 @@ def _secant_table(plane: Plane, base_set):
     return flat, vertical
 
 
+def _secant_tables(plane: Plane, base) -> list:
+    """The _secant_table of each base set, in order: the one list both
+    translation checks read."""
+    return [_secant_table(plane, s) for s in base]
+
+
 def _bad_dv(f, base_i, secants_i, base_j, secants_j, d_u):
     """(every, bad) for S_i and S_j moved by (d_u, dv): bad holds each dv
     that puts a point of S_j + (d_u, dv) on a flat secant of S_i or a
@@ -444,13 +459,11 @@ def _verify_translates(family: LocalArcFamily) -> VerifyReport:
         return VerifyReport(False, "translation", done,
                             _named_violation(family, named))
 
-    secants = []
-    for si, s in enumerate(base):
-        table = _secant_table(plane, s)
-        if table is None:
-            return VerifyReport(False, "translation", si + 1,
-                                _named_violation(family, [si]))
-        secants.append(table)
+    secants = _secant_tables(plane, base)
+    if None in secants:
+        si = secants.index(None)
+        return VerifyReport(False, "translation", si + 1,
+                            _named_violation(family, [si]))
 
     for si in range(b):
         for sj in range(si, b):
@@ -596,28 +609,20 @@ def _translation_verdict(family: LocalArcFamily):
     f = plane.field
     sub = f.sub
     layout = family.translation
-    base, us, vs = layout.base, layout.us, layout.vs
-    nb, nv, q = len(base), len(vs), plane.q
-    tables: dict = {}
+    base, us, vs, locate = layout.base, layout.us, layout.vs, layout.locate
+    nb, q = len(base), plane.q
+    secants = [table if len(s) >= 2 else None
+               for s, table in zip(base, _secant_tables(plane, base))]
     cache: dict = {}
 
-    def table(si):
-        if si not in tables:
-            s = base[si]
-            tables[si] = _secant_table(plane, s) if len(s) >= 2 else None
-        return tables[si]
-
     def verdict(a, b):
-        # the index arithmetic of _Translates.__getitem__
-        ti, si = divmod(a, nb)
-        tj, sj = divmod(b, nb)
-        iu, iv = divmod(ti, nv)
-        ju, jv = divmod(tj, nv)
+        si, iu, iv = locate(a)
+        sj, ju, jv = locate(b)
         d_u = sub(us[ju], us[iu])
         key = (si * nb + sj) * q + d_u
         hit = cache.get(key)
         if hit is None:
-            sec_i, sec_j = table(si), table(sj)
+            sec_i, sec_j = secants[si], secants[sj]
             if sec_i is None or sec_j is None:
                 return None
             every, bad = _bad_dv(f, base[si], sec_i, base[sj], sec_j, d_u)

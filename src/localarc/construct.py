@@ -345,7 +345,13 @@ def _sorted_layout(coords, us, vs) -> TranslationLayout:
 
 
 def _affine_coords(fam: LocalArcFamily) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Seed sets as (x, y) encoding pairs; rejects non-affine seeds."""
+    """Seed sets as (x, y) encoding pairs, the base of a translation lift.
+
+    SeedNotPlanar for a seed in the homogeneous presentation;
+    NonAffineSeed for a point off the affine part or a vertical secant.
+    """
+    if fam.plane.kind != "planar":
+        raise SeedNotPlanar("lifting acts on the planar presentation")
     q = fam.plane.q
     out = []
     for s in fam.sets:
@@ -376,14 +382,6 @@ class LiftParams:
     t: int
     B: int
     n_translations: int
-
-    def describe(self) -> str:
-        m, A = self.basis.m, self.basis.A
-        return (
-            f"T: x in [-{self.B},{self.B}], y with {self.t} base-{m} digits, "
-            f"even digits in {list(A)}; |T| = (2*{self.B}+1)*{len(A)}^{self.t // 2}"
-            f"*{m}^{self.t // 2} = {self.n_translations}"
-        )
 
 
 def plan_lift(r: int, basis: SdfBasis, p: int) -> LiftParams:
@@ -457,25 +455,19 @@ def lift_prime(
 # ---------------------------------------------------------------------------
 # extension-field liftings
 
-def _require_planar_affine(seed: LocalArcFamily) -> None:
-    if seed.plane.kind != "planar":
-        raise SeedNotPlanar("lifting acts on the planar presentation")
-
-
 def case1_lift(seed: LocalArcFamily, check: bool = True) -> LocalArcFamily:
     """GF(p) -> GF(p^2) by translating with (0, g1*alpha), g1 in GF(p).
 
     alpha is the canonical degree-2 generator, so the alpha-component of
     an incidence forces equal translations; set count multiplies by p.
     """
-    _require_planar_affine(seed)
+    coords = _affine_coords(seed)
     field = seed.plane.field
     if field.m != 1:
         raise ValueError("case 1 starts from a prime field")
     p = field.p
     if p == 2:
         raise ValueError("odd characteristic required")
-    coords = _affine_coords(seed)
     up = make_field(p, 2)
     plane = make_plane(up, "planar")
     alpha = up.from_coeffs((0, 1))  # the polynomial generator x
@@ -496,12 +488,11 @@ def case2_lift(seed: LocalArcFamily, t: int, check: bool = True) -> LocalArcFami
     """
     if t < 2:
         raise NotTower(f"tower degree 2t needs t >= 2, got t = {t}")
-    _require_planar_affine(seed)
+    coords = _affine_coords(seed)
     base = seed.plane.field
     if base.m != 2 or base.tower:
         raise ValueError("case 2 starts from a flat GF(p^2) family")
     p = base.p
-    coords = _affine_coords(seed)
     tw = make_field(p, 2 * t, tower=True)
     plane = make_plane(tw, "planar")
     alpha = tw.generator_enc()
@@ -569,7 +560,7 @@ def case3_lift(
     """
     if m < 3 or (m % 2 == 0 and m < 4):
         raise ValueError("extension degree m must be odd >= 3 or even >= 4")
-    _require_planar_affine(seed)
+    coords = _affine_coords(seed)
     base = seed.plane.field
     if base.m != 1:
         raise ValueError("case 3 starts from a prime field")
@@ -582,7 +573,6 @@ def case3_lift(
         raise ValueError("give both M1 and M2, or neither")
     if not (M1 >= 2 and M2 >= 4 and 4.0 / M2 < 1.0 - 2.0 / M1):
         raise ValueError("(M1, M2) violate the side constraints")
-    coords = _affine_coords(seed)
     if alphabet is None:
         # floor(p/M1); for the default M1 = 3 - 1/t (t > 1) it is
         # pt // (3t - 1), as the double nearest 3 - 1/t can lie above it
@@ -669,7 +659,8 @@ def best_construction(
     else:
         if m % 2 == 0:
             consider("case2", lambda: lift(case2_lift(
-                case1_lift(conic_partition_seed(p, k)), m // 2, check=False)))
+                case1_lift(conic_partition_seed(p, k), check=False), m // 2,
+                check=False)))
         consider("case3", lambda: lift(case3_lift(
             conic_partition_seed(p, k), m, check=False)))
 

@@ -469,3 +469,16 @@ def test_determinism_same_flags_same_output(capsys):
     first.pop("elapsed_seconds")
     second.pop("elapsed_seconds")
     assert first == second
+
+
+def test_paper_scale_lift_is_rejected_exactly(capsys):
+    # the 3,018,420-set lift of example_i_seed at the smallest admissible
+    # prime for (205, A205) lists the u = 1 copy of seed set 2 again as a
+    # copy of seed set 3, and the exact check names that pair every time
+    code = run(["construct", "--method", "lift-prime",
+                "--seed-file", fixture_path("example_i_seed.json"),
+                "--p", "1723027",
+                "--basis", "205,0,2,8,14,77,79,85,96,103,109,111,181"])
+    assert code == EXIT_REJECTED
+    assert capsys.readouterr().out == \
+        "rejected: point (1,126075) repeats in sets [2, 1512901]\n"

@@ -533,3 +533,21 @@ def test_best_construction_case2_wins_at_729():
     assert report["case2"] == 729
     assert fam.n_sets == 729
     assert report["winner"].endswith("case2(p=3,t=3)")
+
+
+def test_lifts_reject_a_homogeneous_seed():
+    from localarc.construct import SeedNotPlanar
+    from localarc.gf import make_field
+    from localarc.plane import make_plane
+
+    def homogeneous_seed(field):
+        plane = make_plane(field, "homogeneous")
+        pts = plane.conic()
+        return LocalArcFamily(plane, (tuple(sorted(pts[:2])),), k=2)
+
+    with pytest.raises(SeedNotPlanar):
+        case1_lift(homogeneous_seed(make_field(11)))
+    with pytest.raises(SeedNotPlanar):
+        case2_lift(homogeneous_seed(make_field(5, 2)), 2)
+    with pytest.raises(SeedNotPlanar):
+        case3_lift(homogeneous_seed(make_field(41)), 3)

@@ -274,3 +274,51 @@ def test_translation_matches_sweep_on_random_lifts():
     assert outcomes.count("overlap") >= 50
     assert outcomes.count("collinear") >= 50
     assert outcomes.count("duplicate") >= 1
+
+
+def _random_offsets_layout(rng, q):
+    """A layout with 1-4 base sets, some empty, and 1-4 offsets a side."""
+    base = tuple(tuple((rng.randrange(q), rng.randrange(q))
+                       for _ in range(rng.randint(0, 3)))
+                 for _ in range(rng.randint(1, 4)))
+    us = tuple(rng.choices(range(q), k=rng.randint(1, 4)))
+    vs = tuple(rng.choices(range(q), k=rng.randint(1, 4)))
+    return TranslationLayout(base, us, vs)
+
+
+def test_locate_inverts_index():
+    rng = random.Random(0x10CA7E)
+    shapes = set()
+    for _ in range(300):
+        lay = _random_offsets_layout(rng, 9)
+        shapes.add((min(map(len, lay.base)) == 0, len(lay.us) == 1,
+                    len(lay.vs) == 1))
+        cells = itertools.product(range(len(lay.base)), range(len(lay.us)),
+                                  range(len(lay.vs)))
+        assert sorted(lay.index(*cell) for cell in cells) == \
+            list(range(len(lay)))
+        for i in range(len(lay)):
+            si, iu, iv = lay.locate(i)
+            assert 0 <= si < len(lay.base) and 0 <= iu < len(lay.us) \
+                and 0 <= iv < len(lay.vs)
+            assert lay.index(si, iu, iv) == i
+    # empty base sets and single offsets each occur, alone and together
+    assert {(True, True, True), (True, False, False),
+            (False, True, False), (False, False, True)} <= shapes
+
+
+def test_lazy_set_is_the_translate_locate_names():
+    rng = random.Random(0x5E75)
+    for q in (7, 9, 25):
+        plane = make_plane(q)
+        add = plane.field.add
+        for _ in range(40):
+            lay = _random_offsets_layout(rng, q)
+            fam = LocalArcFamily.translates(plane, lay)
+            for i in range(len(lay)):
+                si, iu, iv = lay.locate(i)
+                u, v = lay.us[iu], lay.vs[iv]
+                want = tuple(sorted(add(x, u) * q + add(y, v)
+                                    for x, y in lay.base[si]))
+                assert fam.sets[i] == want
+                assert fam.sets[i - len(lay)] == want
