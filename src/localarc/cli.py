@@ -421,7 +421,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--q", type=int, required=True)
     ps.add_argument("--k", type=int, required=True)
     ps.add_argument("--budget", type=float)
-    ps.add_argument("--symmetry", choices=("none", "fix-first-arc"))
+    ps.add_argument("--symmetry", choices=("none", "fix-first-arc"),
+                    help="fix-first-arc pins the first set and is valid "
+                    "only for k <= 4 (the default there); none above")
     ps.add_argument("--cap", type=int)
     ps.add_argument("--certificate")
     common(ps)
@@ -444,7 +446,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--q", type=int, required=True)
     pi.add_argument("--k", type=int, required=True)
     pi.add_argument("--cap", type=int)
-    pi.add_argument("--fix-first", dest="fix_first", action="store_true")
+    pi.add_argument("--fix-first", dest="fix_first", action="store_true",
+                    help="pin the first set to a fixed k-arc (k <= 4)")
     pi.add_argument("--out", dest="out_path")
     common(pi)
 

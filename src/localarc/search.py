@@ -4,16 +4,18 @@ Two engines share the same model:
 
 * ``exact_max`` runs a depth-first backtracking search over canonical
   set orderings (sets sorted by their smallest point, points ascending
-  inside each set).  Point sets are bit masks over point ids, and two
-  rules prune the tree: a line that is a secant of one set may meet no
-  other set, so its points leave the free mask for good; and no line
+  inside each set).  Point sets are bit masks over point ids, handed
+  down the recursion as arguments, so the search keeps no state to
+  undo.  Two rules prune the tree: a line that is a secant of one set
+  may meet no other set, so its points go dead for good; and no line
   may carry three points of the union of two sets, so adding a point
   shuts, for the rest of its set, every line through it that already
-  holds a point.  The search is deterministic, so node counts are
-  reproducible.  It takes q and k plus three optional keywords: a
+  holds a chosen point.  The search is deterministic, so node counts
+  are reproducible.  It takes q and k plus three optional keywords: a
   budget in seconds (none by default), a symmetry mode (by default the
-  first set is pinned for k <= 4 and nothing is pinned above) and a cap
-  on the set count (by default the second-moment bound).
+  first set is pinned for k <= 4, the only k that allows it, and
+  nothing is pinned above) and a cap on the set count (by default the
+  second-moment bound).
 
 * ``emit_ilp`` writes the equivalent 0/1 integer program in LP text
   format for an external solver, and ``check_certificate`` replays a
@@ -56,10 +58,19 @@ def _max_arc_size(q: int) -> int:
     return q + 2 if q % 2 == 0 else q + 1
 
 
+# PGL(3, q) is transitive on frames, so any 4-arc may be moved onto the
+# first set; no such argument pins a larger first set
+_FIX_FIRST_MAX_K = 4
+
+
 def _default_symmetry(k: int) -> str:
-    # frame transitivity justifies fixing the first arc only up to
-    # quadruples, so larger k defaults to the unreduced search
-    return "fix-first-arc" if k <= 4 else "none"
+    return "fix-first-arc" if k <= _FIX_FIRST_MAX_K else "none"
+
+
+def _check_fix_first(k: int) -> None:
+    if k > _FIX_FIRST_MAX_K:
+        raise ValueError(f"fix-first-arc pins the first set only for "
+                         f"k <= {_FIX_FIRST_MAX_K}, not k = {k}")
 
 
 @dataclass(frozen=True)
@@ -126,7 +137,9 @@ def exact_max(
     without proof; it defaults to the second-moment bound.  Passing a
     smaller unproven value makes the returned ``optimal`` flag mean
     "optimal among families of at most cap sets".  symmetry defaults to
-    "fix-first-arc" for k <= 4 and "none" above.
+    "fix-first-arc" for k <= 4 and "none" above; asking for
+    "fix-first-arc" with k > 4 is a ValueError, since pinning a larger
+    first set can miss the optimum.
     """
     if k < 2:
         raise ValueError("uniformity k must be at least 2")
@@ -134,6 +147,8 @@ def exact_max(
         raise ValueError("budget must be positive when given")
     if symmetry is not None and symmetry not in _SYMMETRY_MODES:
         raise ValueError(f"symmetry must be one of {_SYMMETRY_MODES}")
+    if symmetry == "fix-first-arc":
+        _check_fix_first(k)
     if cap is not None and cap < 1:
         raise ValueError("cap must be positive when given")
 
@@ -186,121 +201,83 @@ def _dfs(
     """Depth-first search over canonical orderings.
 
     Returns (best sets, nodes, timed_out).  Point sets are Python ints,
-    bit p standing for point p: used holds the points of the completed
-    sets and of the current one, dead every point on a secant of a
-    completed set, and free = ~(used | dead).  add(p) returns shut, the
-    points of every line through p that already holds a point of the
-    current set or of a completed set; the current set may take exactly
-    free & ~(the shuts of its points), walked in ascending order.  A new
-    set starts only while the free points from its first point on could
-    still beat the incumbent.
+    bit p standing for point p, and every call takes its state as
+    arguments, so backing out of a branch undoes nothing: used holds the
+    points of the completed sets and of the current one, dead every
+    point on a secant of a completed set, and free = ~(used | dead).  A
+    point p shuts every line through it that meets used; the current
+    set may take exactly free & ~(the shuts of its points), walked in
+    ascending order.  A secant of a completed set lies in dead already,
+    so shutting it too changes nothing.  The point that completes a set
+    shuts nothing; instead every line through two of the set's points
+    goes dead.  A new set starts only while the free points from its
+    first point on could still beat the incumbent.
     """
     n = plane.n_points
-    lines_through = [plane.lines_through(p) for p in range(n)]
     line_mask = [sum(1 << p for p in plane.points_on(lid))
                  for lid in range(plane.n_lines)]
+    star = [tuple(line_mask[lid] for lid in plane.lines_through(p))
+            for p in range(n)]
+    # candidates for a set's next point leave room for the rest of it;
+    # room[1] holds every point
+    room = [(1 << (n - need + 1)) - 1 for need in range(k + 1)]
+    best_sets: list[list[int]] = []
+    best = nodes = 0
+    stop = timed_out = False
 
-    # a line holding one point of several completed sets stays open;
-    # done_single counts those sets, cur_cnt the current set's points
-    done_single = [0] * plane.n_lines
-    cur_cnt = [0] * plane.n_lines
-    used = 0
-    dead = 0
-
-    sets_acc: list[list[int]] = []
-    cur: list[int] = []
-
-    state = {"best": 0, "best_sets": [], "nodes": 0, "stop": False,
-             "timed_out": False}
-
-    def add(p: int) -> int:
-        nonlocal used
-        used |= 1 << p
-        cur.append(p)
-        shut = 0
-        for lid in lines_through[p]:
-            if cur_cnt[lid] or done_single[lid]:
-                shut |= line_mask[lid]
-            cur_cnt[lid] += 1
-        return shut
-
-    def remove(p: int) -> None:
-        nonlocal used
-        used &= ~(1 << p)
-        cur.pop()
-        for lid in lines_through[p]:
-            cur_cnt[lid] -= 1
-
-    def fold() -> tuple[int, list[tuple[int, int]]]:
-        nonlocal dead
-        dead_before = dead
-        journal = []
+    def complete_set(cur: tuple[int, ...], used: int, dead: int,
+                     done: tuple[tuple[int, ...], ...]) -> None:
+        nonlocal best, best_sets, stop
+        done += (cur,)
+        if len(done) > best:
+            best = len(done)
+            best_sets = [list(s) for s in done]
+            if best >= cap:
+                stop = True
+                return
+        # a line through two points of the set is a secant of it
+        rest = 0
         for p in cur:
-            for lid in lines_through[p]:
-                c = cur_cnt[lid]
-                if c:
-                    journal.append((lid, c))
-                    cur_cnt[lid] = 0
-                    if c == 2:
-                        dead |= line_mask[lid]
-                    else:
-                        done_single[lid] += 1
-        sets_acc.append(list(cur))
-        return dead_before, journal
+            rest |= 1 << p
+        for p in cur:
+            rest ^= 1 << p
+            for lm in star[p]:
+                if lm & rest:
+                    dead |= lm
+        open_set(cur[0] + 1, used, dead, done)
 
-    def unfold(undo: tuple[int, list[tuple[int, int]]]) -> None:
-        nonlocal dead
-        sets_acc.pop()
-        dead, journal = undo
-        for lid, c in journal:
-            cur_cnt[lid] = c
-            if c == 1:
-                done_single[lid] -= 1
-
-    def tick() -> None:
-        state["nodes"] += 1
-        if deadline is not None and state["nodes"] % 2048 == 0:
-            if time.monotonic() > deadline:
-                state["timed_out"] = True
-                raise _Timeout
-
-    def extend_set(lo: int, allowed: int) -> None:
+    def extend_set(lo: int, allowed: int, used: int, dead: int,
+                   cur: tuple[int, ...],
+                   done: tuple[tuple[int, ...], ...]) -> None:
+        nonlocal nodes
         need = k - len(cur)
-        if need == 0:
-            complete_set()
-            return
-        # candidates p in [lo, n - need]: room is left for the rest
-        cand = (allowed >> lo << lo) & ((1 << (n - need + 1)) - 1)
+        cand = (allowed >> lo << lo) & room[need]
         while cand:
             low = cand & -cand
             cand ^= low
             p = low.bit_length() - 1
-            tick()
-            shut = add(p)
-            extend_set(p + 1, allowed & ~shut)
-            remove(p)
-            if state["stop"]:
+            nodes += 1
+            if (deadline is not None and not nodes & 2047
+                    and time.monotonic() > deadline):
+                raise _Timeout
+            if need == 1:
+                complete_set(cur + (p,), used | low, dead, done)
+            else:
+                shut = 0
+                for lm in star[p]:
+                    if lm & used:
+                        shut |= lm
+                extend_set(p + 1, allowed & ~shut, used | low, dead,
+                           cur + (p,), done)
+            if stop:
                 return
 
-    def complete_set() -> None:
-        undo = fold()
-        saved = list(cur)
-        cur.clear()
-        m = len(sets_acc)
-        if m > state["best"]:
-            state["best"] = m
-            state["best_sets"] = [list(s) for s in sets_acc]
-            if m >= cap:
-                state["stop"] = True
-        if not state["stop"]:
-            open_set(saved[0] + 1)
-        cur.extend(saved)
-        unfold(undo)
-
-    def open_set(lo: int) -> None:
-        m = len(sets_acc)
-        free = ~(used | dead) & ((1 << n) - 1)
-        cand = (free >> lo << lo) & ((1 << (n - k + 1)) - 1)
+    def open_set(lo: int, used: int, dead: int,
+                 done: tuple[tuple[int, ...], ...]) -> None:
+        nonlocal nodes
+        m = len(done)
+        free = ~(used | dead) & room[1]
+        cand = (free >> lo << lo) & room[k]
         while cand:
             low = cand & -cand
             cand ^= low
@@ -308,33 +285,29 @@ def _dfs(
             # ids below s are spoken for, so at most (free ids from s)
             # // k more sets; the bound only tightens as s grows, so
             # non-candidate ids need no test
-            if m + (free >> s).bit_count() // k <= state["best"]:
+            if m + (free >> s).bit_count() // k <= best:
                 return
-            tick()
-            shut = add(s)
-            extend_set(s + 1, free & ~shut)
-            remove(s)
-            if state["stop"]:
+            nodes += 1
+            if (deadline is not None and not nodes & 2047
+                    and time.monotonic() > deadline):
+                raise _Timeout
+            shut = 0
+            for lm in star[s]:
+                if lm & used:
+                    shut |= lm
+            extend_set(s + 1, free & ~shut, used | low, dead, (s,), done)
+            if stop:
                 return
 
     try:
         if symmetry == "fix-first-arc":
             first = _greedy_arc(plane, k)
-            shut = 0
-            for p in first:
-                if shut >> p & 1:
-                    raise RuntimeError("the greedy arc does not fit an "
-                                       "empty family")
-                shut |= add(p)
-            complete_set()
-            for p in reversed(first):
-                remove(p)
+            complete_set(tuple(first), sum(1 << p for p in first), 0, ())
         else:
-            open_set(0)
+            open_set(0, 0, 0, ())
     except _Timeout:
-        pass
-
-    return state["best_sets"], state["nodes"], state["timed_out"]
+        timed_out = True
+    return best_sets, nodes, timed_out
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +323,12 @@ def emit_ilp(q: int, k: int, cap: int | None = None, *,
     1 <= j <= cap.  Exactly six constraint families: set-usage
     monotonicity, set sizes, per-set arc condition, secant indicators,
     disjointness, and secants avoiding other sets.  With fix_first the
-    first set is pinned to a fixed k-arc.
+    first set is pinned to a fixed k-arc, which k <= 4 allows.
     """
     if k < 2:
         raise ValueError("uniformity k must be at least 2")
+    if fix_first:
+        _check_fix_first(k)
     plane = make_plane(q, kind="homogeneous")
     n = plane.n_points
     if cap is None:

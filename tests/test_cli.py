@@ -227,6 +227,16 @@ def test_search_writes_certificate_and_lp(tmp_path, capsys):
     assert chk.ok and chk.objective == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--q", "11", "--k", "6", "--symmetry", "fix-first-arc"],
+    ["ilp-export", "--q", "7", "--k", "5", "--fix-first"],
+])
+def test_fix_first_above_k4_is_a_usage_error(argv, capsys):
+    assert run(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "k <= 4" in captured.err and not captured.out
+
+
 def test_search_json_format(capsys):
     assert run(["search", "--q", "4", "--k", "3", "--format",
                 "json"]) == EXIT_OK

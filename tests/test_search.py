@@ -8,7 +8,7 @@ import time
 import pytest
 
 from localarc import search
-from localarc.arcs import verify_local_arc
+from localarc.arcs import LocalArcFamily, verify_local_arc
 from localarc.bounds import eml_upper
 from localarc.plane import Plane, make_plane
 from localarc.search import (
@@ -128,6 +128,26 @@ def test_config_validation():
         exact_max(5, 2, budget=0)
     with pytest.raises(TypeError):
         exact_max(5)
+
+
+def test_fix_first_arc_is_refused_above_k4():
+    # pinning the greedy 6-arc of PG(2,11) leaves no room for a second
+    # set, yet the unpinned search finds this verified pair
+    plane = make_plane(11, kind="homogeneous")
+    pair = [["(1:0:0)", "(1:0:1)", "(1:1:0)", "(1:1:1)", "(1:2:3)",
+             "(1:2:9)"],
+            ["(1:6:2)", "(1:6:10)", "(1:10:3)", "(1:10:9)", "(0:1:5)",
+             "(0:1:6)"]]
+    fam = LocalArcFamily(
+        plane, [tuple(sorted(map(plane.parse_point, s))) for s in pair])
+    assert verify_local_arc(fam).ok
+    for q, k in ((11, 6), (7, 5)):
+        with pytest.raises(ValueError, match="k <= 4"):
+            exact_max(q, k, symmetry="fix-first-arc")
+        with pytest.raises(ValueError, match="k <= 4"):
+            emit_ilp(q, k, fix_first=True)
+    assert _default_symmetry(4) == "fix-first-arc"
+    assert _default_symmetry(5) == "none"
 
 
 def test_greedy_arc_is_arc():
@@ -418,6 +438,12 @@ def test_bench_cells_pinned(q, k, cap):
     res = exact_max(q, k, cap=cap)
     assert (res.num_sets, res.optimal, res.nodes) == (sets, True, nodes)
     assert [tuple(s) for s in res.certificate.sets] == family
+
+
+@pytest.mark.parametrize("q,k,cap", sorted(BENCH_CELLS, key=str))
+def test_bench_cells_match_reference_on_a_tree_prefix(monkeypatch, q, k,
+                                                      cap):
+    _compare_prefix(monkeypatch, q, k, _default_symmetry(k), cap, checks=3)
 
 
 @pytest.mark.slow
