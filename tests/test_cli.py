@@ -459,6 +459,16 @@ def test_console_entry_subprocess():
     assert proc.stdout.splitlines()[1].split("\t")[0] == "11"
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["bound", "--q", "7", "--k", "2"], EXIT_OK),
+    (["search", "--q", "4", "--k", "1"], EXIT_USAGE),
+])
+def test_package_runs_as_a_module(argv, code):
+    proc = subprocess.run([sys.executable, "-m", "localarc", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+
+
 def test_verify_of_a_degree_60_family_ends_in_seconds(tmp_path):
     # the field is built before the family is read: its modulus search
     # must not run over every lower-degree divisor

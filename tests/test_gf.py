@@ -1,4 +1,6 @@
 import collections
+import random
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,11 @@ def test_smallest_primitives():
     assert make_field(5).generator_enc() == 2
     assert make_field(7).generator_enc() == 3
     assert make_field(3, 2).generator_enc() == 4
+    assert make_field(41, 3).generator_enc() == 44
+    assert make_field(23, 3).generator_enc() == 23
+    assert make_field(53, 2).generator_enc() == 54
+    assert make_field(5, 4, tower=True).generator_enc() == 26
+    assert make_field(7, 4, tower=True).generator_enc() == 50
 
 
 @pytest.mark.parametrize("name", ["GF8", "GF9", "GF25"])
@@ -181,17 +188,42 @@ def test_is_prime_small_range():
     assert not is_prime(2**67 - 1)
 
 
+# The table engine's exp list is a _raw_mul chain over the first
+# (q-1)/(p-1) powers scaled by the prime subfield, and its zech list comes
+# from a digit-0 increment.  With the generator pinned
+# (test_smallest_primitives), agreeing with the digit engine on every
+# operation pins all three lists.
 def test_digit_engine_agrees_with_table_engine():
-    ft, fd = FIELDS["GF9"], FIELDS["GF9digit"]
-    for a in range(9):
+    for p, m, tower in ((3, 2, False), (2, 5, False), (3, 4, False),
+                        (5, 3, False), (5, 4, True)):
+        ft, fd = make_field(p, m, tower), _digit_field(p, m, tower)
+        assert ft.mul != ft._raw_mul and fd.mul == fd._raw_mul
+        els = range(ft.q)
+        assert list(map(ft.neg, els)) == list(map(fd.neg, els))
+        assert list(map(ft.inv, els[1:])) == list(map(fd.inv, els[1:]))
+        assert (list(map(ft.is_square_enc, els))
+                == list(map(fd.is_square_enc, els)))
+        for a in els:
+            for op in ("add", "sub", "mul"):
+                assert (list(map(getattr(ft, op), repeat(a), els))
+                        == list(map(getattr(fd, op), repeat(a), els))), \
+                    (ft, op, a)
+
+
+# GF(257^2) keeps its digit columns in a list, as every p >= 256 does
+@pytest.mark.parametrize("p,m,tower", [
+    (23, 3, False), (7, 4, True), (257, 2, False)])
+def test_digit_engine_agrees_with_table_engine_on_random_pairs(p, m, tower):
+    ft, fd = make_field(p, m, tower), _digit_field(p, m, tower)
+    rng = random.Random(p * 10 + m)
+    for _ in range(20_000):
+        a, b = rng.randrange(ft.q), rng.randrange(ft.q)
+        assert ft.add(a, b) == fd.add(a, b)
+        assert ft.sub(a, b) == fd.sub(a, b)
+        assert ft.mul(a, b) == fd.mul(a, b)
         assert ft.neg(a) == fd.neg(a)
-        assert ft.is_square_enc(a) == fd.is_square_enc(a)
         if a:
             assert ft.inv(a) == fd.inv(a)
-        for b in range(9):
-            assert ft.add(a, b) == fd.add(a, b)
-            assert ft.sub(a, b) == fd.sub(a, b)
-            assert ft.mul(a, b) == fd.mul(a, b)
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
