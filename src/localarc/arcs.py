@@ -15,18 +15,19 @@ line).  Verification comes in three flavours:
                              size limit so it stays a cross-check tool.
 * sample_verify           -- deterministic spot check of sampled set pairs,
                              for families too large to verify exhaustively.
-                             A translation family decides a pair from its
+                             The pairs come from a counter-based stream
+                             computed a packed chunk at a time.  A
+                             translation family decides a pair from its
                              base: 2k·C(k, 2) multiplications once per
-                             (si, sj, du), then two subtractions and one
-                             lookup per sample.  Other pairs take each
-                             point's coordinates once and pivot each
-                             triple on its first point, two
-                             multiplications per triple (46 per pair
-                             for k = 3).
+                             (si, sj, du), then, inline, two divmods per
+                             set number, two subtractions and one lookup
+                             per sample.  Other pairs take each point's
+                             coordinates once and pivot each triple on
+                             its first point, two multiplications per
+                             triple (46 per pair for k = 3).
 
-Both translation checks decode a set number with TranslationLayout.locate,
-the inverse of TranslationLayout.index, as the lazy sets do, and read the
-base sets' secants from one list (_secant_tables).
+Both translation checks read the base sets' secants from one list
+(_secant_tables) and the colliding dv of two base sets from _bad_dv.
 
 Points are plane ids; sets are sorted tuples.  Families may hold any
 sequence type, so constructions can hand over lazily generated sets.
@@ -37,7 +38,10 @@ uniformity say so.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -544,17 +548,49 @@ def verify_local_arc_oracle(family: LocalArcFamily, limit: int = 10_000) -> Veri
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+# set pairs drawn per packed chunk; each takes two 128-bit lanes
+_CHUNK = 512
 
 
-def _splitmix(x: int) -> int:
-    x &= _M64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
-    return x ^ (x >> 31)
+@functools.cache
+def _lanes() -> tuple[int, int, int]:
+    """1, the low-64-bit mask and i·γ in each lane i of a chunk, built
+    on the first draw rather than at import."""
+    lanes = 2 * _CHUNK
+    ones = int.from_bytes((b"\x01" + bytes(15)) * lanes, "little")
+    low64 = int.from_bytes((b"\xff" * 8 + bytes(8)) * lanes, "little")
+    steps = _GAMMA * int.from_bytes(
+        b"".join(i.to_bytes(16, "little") for i in range(lanes)), "little")
+    return ones, low64, steps
 
 
-def _sample_stream(seed: int, n: int) -> int:
-    return _splitmix((seed + (n + 1) * _GAMMA) & _M64)
+def _draw_pairs(seed: int, samples: int):
+    """The sample stream, one chunk of (draw 2t, draw 2t+1) pairs at a time.
+
+    Draw n is SplitMix64 (Steele, Lea and Flood, OOPSLA 2014) of
+    seed + (n + 1)·γ mod 2^64, a counter-based stream: no state passes
+    from one draw to the next.  So a chunk of draws is computed at once
+    on one integer of 128-bit lanes, draw i of the chunk in lane i.  The
+    lane inputs base + i·γ stay below 2^128, a 64-bit lane value times a
+    64-bit constant does too, and masking each lane to its low 64 bits
+    after every multiply, and after every shift a multiply follows,
+    clears the bits shifted down from the lane above.  Each lane thus
+    ends with its scalar SplitMix64 value in its low word, which the
+    native-order 64-bit words of the integer's bytes give at even
+    positions: a-draws at 0, 4, 8, ..., b-draws at 2, 6, 10, ...
+    """
+    ones, low64, steps = _lanes()
+    for start in range(0, samples, _CHUNK):
+        n = min(_CHUNK, samples - start)
+        low = low64 if n == _CHUNK else low64 & ((1 << 256 * n) - 1)
+        x = (steps + ((seed + (2 * start + 1) * _GAMMA) & _M64) * ones) & low
+        x = ((x ^ (x >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+        x = ((x ^ (x >> 27)) & low) * 0x94D049BB133111EB & low
+        x ^= x >> 31  # what it shifts into a lane's high word is not read
+        words = array("Q", x.to_bytes(32 * n, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        yield zip(words[0::4], words[2::4])
 
 
 def _first_collinear(pts, sub, mul):
@@ -592,59 +628,17 @@ def _first_collinear(pts, sub, mul):
 _BAD_DV_KEYS = 1 << 15
 
 
-def _translation_verdict(family: LocalArcFamily):
-    """verdict(a, b) for two sets of a translation family: True when the
-    pair is clean, False when it violates, None when it cannot be told
-    from the base.
-
-    Sets a = S_si + (us[iu], vs[iv]) and b = S_sj + (us[ju], vs[jv])
-    move together onto S_si and S_sj + delta, delta = (du, dv) the
-    offset difference.  When both base sets are arcs of at least two
-    distinct points, each point of one set that is a point of the other
-    lies on a secant of it, so the pair violates (overlap or collinear
-    triple) exactly when _bad_dv flags dv for (si, sj, du).  Those
-    verdicts are cached per (si, sj, du); any other pair gets None.
-    """
-    plane = family.plane
-    f = plane.field
-    sub = f.sub
-    layout = family.translation
-    base, us, vs, locate = layout.base, layout.us, layout.vs, layout.locate
-    nb, q = len(base), plane.q
-    secants = [table if len(s) >= 2 else None
-               for s, table in zip(base, _secant_tables(plane, base))]
-    cache: dict = {}
-
-    def verdict(a, b):
-        si, iu, iv = locate(a)
-        sj, ju, jv = locate(b)
-        d_u = sub(us[ju], us[iu])
-        key = (si * nb + sj) * q + d_u
-        hit = cache.get(key)
-        if hit is None:
-            sec_i, sec_j = secants[si], secants[sj]
-            if sec_i is None or sec_j is None:
-                return None
-            every, bad = _bad_dv(f, base[si], sec_i, base[sj], sec_j, d_u)
-            hit = every, tuple(bad)  # a few values: smaller than a set
-            if len(cache) < _BAD_DV_KEYS:
-                cache[key] = hit
-        every, bad = hit
-        return not (every or sub(vs[jv], vs[iv]) in bad)
-
-    return verdict
-
-
 def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> VerifyReport:
     """Deterministic spot check of sampled set pairs.
 
     Pair t of the sample stream is derived from (seed, t) alone through a
-    counter-based generator, so a verdict can be replayed or continued on
-    any machine regardless of scheduling.  Each sampled pair gets the full
-    pairwise treatment: disjointness first, then a collinearity test of
-    every point triple of the union in itertools.combinations order, so
-    the first violation found, its line (the join of its first two
-    points) and pairs_checked do not depend on how the test is computed.
+    counter-based generator (_draw_pairs), so a verdict can be replayed or
+    continued on any machine regardless of scheduling.  Each sampled pair
+    gets the full pairwise treatment: disjointness first, then a
+    collinearity test of every point triple of the union in
+    itertools.combinations order, so the first violation found, its line
+    (the join of its first two points) and pairs_checked do not depend on
+    how the test is computed.
 
     Each union point is mapped to its homogeneous triple once
     (Plane.coords).  A triple whose first point is affine is decided by
@@ -655,13 +649,20 @@ def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> Verify
     sample: 46 for k = 3, 12 for k = 2.
 
     A translation family (one with a TranslationLayout) builds no set
-    for a pair it can decide from its base (_translation_verdict): the
-    dv that make base sets si and sj collide at x-offset du cost
-    2k·C(k, 2) multiplications once per (si, sj, du), and a sample then
-    costs two subtractions and one lookup.  Pairs it flags, and pairs
-    with a base set of fewer than two distinct points or with three
-    collinear points, take the treatment above, so the report is the
-    same either way.
+    for a pair it can decide from its base.  Sets a = S_si + (us[iu],
+    vs[iv]) and b = S_sj + (us[ju], vs[jv]) move together onto S_si and
+    S_sj + (du, dv), the offset difference.  When both base sets are arcs
+    of at least two distinct points, each point of one set that is a
+    point of the other lies on a secant of it, so the pair violates
+    (overlap or collinear triple) exactly when _bad_dv flags dv for
+    (si, sj, du).  That costs 2k·C(k, 2) multiplications once per
+    (si, sj, du), cached for the first _BAD_DV_KEYS keys.  An accepted
+    sample then costs a share of one packed chunk of draws, two reductions
+    of its draws, four divmods decoding the set numbers as
+    TranslationLayout.locate does, two field subtractions and one lookup,
+    all inline.  Pairs it flags, and pairs with a base set of fewer than
+    two distinct points or with three collinear points, take the
+    treatment above, so the report is the same either way.
     """
     if samples < 1:
         raise ValueError("at least one sample is required")
@@ -673,18 +674,40 @@ def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> Verify
     sub, mul = f.sub, f.mul
     coords = plane.coords
     sets = family.sets
-    verdict = (_translation_verdict(family)
-               if family.translation is not None else None)
-    clean = None
-    for t in range(samples):
-        a = _sample_stream(seed, 2 * t) % s
-        b = _sample_stream(seed, 2 * t + 1) % (s - 1)
+    layout = family.translation
+    if layout is not None:
+        base, us, vs = layout.base, layout.us, layout.vs
+        nb, nv, q = len(base), len(vs), plane.q
+        secants = [table if len(pts) >= 2 else None
+                   for pts, table in zip(base, _secant_tables(plane, base))]
+        cache: dict = {}
+    s1 = s - 1
+    flagged = False
+    pairs = itertools.chain.from_iterable(_draw_pairs(seed, samples))
+    for t, (a, b) in enumerate(pairs):
+        a %= s
+        b %= s1
         if b >= a:
             b += 1
-        if verdict is not None:
-            clean = verdict(a, b)
-            if clean:
-                continue
+        if layout is not None:
+            ti, si = divmod(a, nb)
+            iu, iv = divmod(ti, nv)
+            tj, sj = divmod(b, nb)
+            ju, jv = divmod(tj, nv)
+            d_u = sub(us[ju], us[iu])
+            key = (si * nb + sj) * q + d_u
+            known = cache.get(key)
+            if known is None and secants[si] and secants[sj]:
+                every, bad = _bad_dv(f, base[si], secants[si],
+                                     base[sj], secants[sj], d_u)
+                known = every, tuple(bad)  # a few values: smaller than a set
+                if len(cache) < _BAD_DV_KEYS:
+                    cache[key] = known
+            if known is not None:
+                every, bad = known
+                if not (every or sub(vs[jv], vs[iv]) in bad):
+                    continue
+            flagged = known is not None
         sa, sb = sets[a], sets[b]
         common = set(sa) & set(sb)
         if common:
@@ -703,7 +726,7 @@ def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> Verify
                           tuple(sorted((u, v, w))), line=plane.join(u, v)),
                 seed=seed,
             )
-        if clean is False:
+        if flagged:
             raise RuntimeError(f"sets {sorted((a, b))} pass the sampled "
                                f"check that the translation verdict rejected")
     return VerifyReport(True, "sample", samples, seed=seed)

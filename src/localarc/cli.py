@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .arcs import (
     LocalArcFamily,
@@ -46,7 +47,7 @@ EXIT_REJECTED = 1
 EXIT_USAGE = 2
 
 _METHODS = ("oval", "generic", "lift-prime", "case1", "case2", "case3", "best")
-_FORMATS = ("text", "json", "tsv")
+_FORMATS = ("text", "json")
 
 
 class UsageError(ValueError):
@@ -95,19 +96,30 @@ def _parse_verify_mode(text: str, flag: str, plain: tuple[str, ...]):
     return samples, seed
 
 
-def _apply_verification(fam: LocalArcFamily, mode) -> str:
+def _apply_verification(fam: LocalArcFamily, mode) -> tuple[str, dict]:
     """Run a mode parsed by _parse_verify_mode; raises NotVerified on
-    rejection."""
+    rejection.
+
+    Returns the note the text output prints and the JSON fields
+    verify_mode (the report's mode), pairs_checked and verify_s (wall
+    seconds), which are null when verification is skipped.
+    """
     if mode == "none":
-        return "skipped"
+        return "skipped", {"verify_mode": None, "pairs_checked": None,
+                           "verify_s": None}
+    start = time.perf_counter()
     if mode == "full":
         report = verify_local_arc(fam)
     else:
         report = sample_verify(fam, *mode)
+    elapsed = time.perf_counter() - start
     if not report.ok:
         raise NotVerified(report.violation.describe(fam.plane))
-    return ("full" if mode == "full"
+    note = ("full" if mode == "full"
             else f"sampled {report.pairs_checked} pairs")
+    return note, {"verify_mode": report.mode,
+                  "pairs_checked": report.pairs_checked,
+                  "verify_s": round(elapsed, 6)}
 
 
 def _load_json(path: str) -> dict:
@@ -130,7 +142,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _emit_family(ns: argparse.Namespace, fam: LocalArcFamily,
-                 note: str) -> None:
+                 note: str, checked: dict) -> None:
     if ns.out_path:
         _write_text(ns.out_path,
                     json.dumps(family_to_dict(fam), indent=1) + "\n")
@@ -141,6 +153,7 @@ def _emit_family(ns: argparse.Namespace, fam: LocalArcFamily,
             "k": fam.k,
             "provenance": fam.provenance,
             "verification": note,
+            **checked,
             "out": ns.out_path,
         }))
     else:
@@ -213,8 +226,7 @@ def _cmd_construct(ns: argparse.Namespace) -> int:
             for branch, outcome in report.items():
                 print(f"# {branch}: {outcome}")
 
-    note = _apply_verification(fam, ns.verify_mode)
-    _emit_family(ns, fam, note)
+    _emit_family(ns, fam, *_apply_verification(fam, ns.verify_mode))
     return EXIT_OK
 
 
@@ -239,14 +251,14 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
         return EXIT_OK if verdict.ok else EXIT_REJECTED
     fam = family_from_dict(data)
     try:
-        note = _apply_verification(fam, ns.verify_mode)
+        note, checked = _apply_verification(fam, ns.verify_mode)
     except NotVerified as exc:
         print(f"rejected: {exc}")
         return EXIT_REJECTED
     if ns.fmt == "json":
         print(json.dumps({"ok": True, "q": fam.plane.q,
                           "num_sets": fam.n_sets, "k": fam.k,
-                          "verification": note}))
+                          "verification": note, **checked}))
     else:
         print(f"ok q={fam.plane.q} sets={fam.n_sets} k={fam.k} "
               f"verification={note}")
@@ -385,9 +397,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "k-uniform local arcs in PG(2,q)")
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, formats=_FORMATS) -> None:
         p.add_argument("--format", dest="fmt", default="text",
-                       choices=_FORMATS)
+                       choices=formats)
 
     pc = sub.add_parser("construct", help="build a family")
     pc.add_argument("--q", type=int)
@@ -459,7 +471,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--q", dest="qs", help="comma separated values")
     pt.add_argument("--k", dest="ks", help="comma separated values")
     pt.add_argument("--budget", type=float, help="seconds per cell")
-    common(pt)
+    # the text table is tab-separated; tsv names it
+    common(pt, _FORMATS + ("tsv",))
 
     return top
 

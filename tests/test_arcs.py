@@ -14,9 +14,10 @@ from localarc.arcs import (
     TranslationLayout,
     VerifyReport,
     Violation,
+    _CHUNK,
     _Translates,
+    _draw_pairs,
     _first_collinear,
-    _sample_stream,
     derive_phi,
     family_from_dict,
     family_to_dict,
@@ -36,6 +37,7 @@ from localarc.construct import (
     case2_lift,
     column_pair_seed,
     conic_partition_seed,
+    generic_k_arc,
     lift_prime,
 )
 from localarc.plane import make_plane
@@ -220,6 +222,34 @@ def test_sample_verify_finds_planted_overlap():
 
 # -- sample_verify against the determinant loop it replaced ----------------
 
+M64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix(x):
+    """SplitMix64's output function (Steele, Lea and Flood, 2014)."""
+    x &= M64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & M64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & M64
+    return x ^ (x >> 31)
+
+
+def sample_stream(seed, n):
+    """Draw n of the sample stream, one scalar at a time: the spec that
+    arcs._draw_pairs computes a packed chunk at a time."""
+    return splitmix((seed + (n + 1) * GAMMA) & M64)
+
+
+@pytest.mark.parametrize("seed", [0, 1, -1, 2**63 + 5, 2**64 + 3, 10**30])
+def test_packed_draws_equal_the_scalar_stream(seed):
+    for samples in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7):
+        chunks = list(_draw_pairs(seed, samples))
+        assert len(chunks) == -(-samples // _CHUNK)
+        packed = list(itertools.chain.from_iterable(chunks))
+        assert packed == [(sample_stream(seed, 2 * t),
+                           sample_stream(seed, 2 * t + 1))
+                          for t in range(samples)], samples
+
 
 def reference_triple_fn(plane):
     """Point id -> homogeneous coordinate triple, for both presentations."""
@@ -273,8 +303,8 @@ def reference_sample_verify(family, samples, seed=0):
 
     sets = family.sets
     for t in range(samples):
-        a = _sample_stream(seed, 2 * t) % s
-        b = _sample_stream(seed, 2 * t + 1) % (s - 1)
+        a = sample_stream(seed, 2 * t) % s
+        b = sample_stream(seed, 2 * t + 1) % (s - 1)
         if b >= a:
             b += 1
         sa, sb = sets[a], sets[b]
@@ -467,6 +497,12 @@ def test_sample_verify_equals_reference_on_translation_families():
         assert rep == reference_sample_verify(fam, samples, seed=seed), (
             fam.plane, fam.translation, samples, seed)
         kinds[rep.violation.kind if rep.violation else "ok"] += 1
+        if rep.ok:
+            # again with a count that ends in, at or just past a chunk
+            samples = (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3)[n % 4]
+            rep = sample_verify(fam, samples, seed=seed)
+            assert rep == reference_sample_verify(fam, samples, seed=seed), (
+                fam.plane, fam.translation, samples, seed)
     assert min(kinds[kind] for kind in ("ok", "overlap", "collinear")) >= 30
 
 
@@ -478,6 +514,46 @@ def test_sample_verify_equals_reference_on_the_wide_window_lift():
         assert rep == reference_sample_verify(fam, 60, seed=seed), seed
         verdicts.add(rep.ok)
     assert verdicts == {True, False}
+
+
+def test_sample_verify_equals_reference_past_the_first_chunk():
+    """The first violation falls in the second or third chunk of draws:
+    pairs_checked, the named pair and the witness match the scalar
+    stream there."""
+    wide = lift_prime(EX1_SEED, BASIS_5, 1031, check=False)
+    # the lift of a 2-arc at p = 1777 with one extra v offset: it puts
+    # a few translates on a secant of others
+    lift = lift_prime(generic_k_arc(2), BASIS_5, 1777)
+    base, us, vs = (lift.translation.base, lift.translation.us,
+                    lift.translation.vs)
+    cases = [(wide, 2), (wide, 23)] + [
+        (LocalArcFamily.translates(
+            lift.plane, TranslationLayout(base, us, vs + (v,))), seed)
+        for v, seed in ((1767, 0), (231, 0), (231, 2))]
+    kinds = set()
+    for fam, seed in cases:
+        rep = sample_verify(fam, 3 * _CHUNK, seed=seed)
+        assert rep == reference_sample_verify(fam, 3 * _CHUNK, seed=seed)
+        assert not rep.ok and rep.pairs_checked > _CHUNK + 1, (fam, seed)
+        kinds.add(rep.violation.kind)
+    assert kinds == {"overlap", "collinear"}
+
+
+def test_sample_verify_on_two_sets_straddles_chunks():
+    # with s = 2 every b-draw reduces to 0, so the pair is always {0, 1}
+    pair = LocalArcFamily(P7, column_pairs(P7)[:2])
+    lift = lift_prime(generic_k_arc(2), BASIS_5, 1777)
+    base = lift.translation.base
+    two = LocalArcFamily.translates(
+        lift.plane, TranslationLayout(base, (0, 1), (0,)))
+    clash = LocalArcFamily.translates(
+        lift.plane, TranslationLayout(base, (3, 3), (2,)))
+    for fam in (pair, two, clash):
+        assert fam.n_sets == 2
+        for samples in (1, _CHUNK + 1, 2 * _CHUNK + 5):
+            rep = sample_verify(fam, samples, seed=11)
+            assert rep == reference_sample_verify(fam, samples, seed=11)
+            assert rep.ok == (fam is not clash)
 
 
 def test_sampled_translation_pairs_build_sets_only_to_name_a_violation(

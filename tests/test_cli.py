@@ -329,6 +329,51 @@ def test_construct_case1(capsys):
     assert res["num_sets"] == 55 and res["q"] == 121
 
 
+def test_json_reports_verification_mode_pairs_and_time(tmp_path, capsys):
+    # a translation lift is decided exactly from its layout
+    out = tmp_path / "case1.json"
+    assert run(["construct", "--method", "case1", "--p", "11",
+                "--out", str(out), "--format", "json"]) == EXIT_OK
+    res = json.loads(capsys.readouterr().out)
+    assert res["verification"] == "full"
+    assert res["verify_mode"] == "translation"
+    assert res["pairs_checked"] > 0 and res["verify_s"] >= 0
+    assert run(["verify", "--in", str(out), "--format", "json"]) == EXIT_OK
+    again = json.loads(capsys.readouterr().out)
+    assert again["verify_mode"] == "fast"  # a stored family has no layout
+    # a sampled lift
+    assert run(["construct", "--method", "lift-prime", "--k", "2",
+                "--p", "1777", "--basis", "5,0,2",
+                "--verify", "sample:3000:1", "--format", "json"]) == EXIT_OK
+    res = json.loads(capsys.readouterr().out)
+    assert res["verification"] == "sampled 3000 pairs"
+    assert res["verify_mode"] == "sample" and res["pairs_checked"] == 3000
+    assert res["verify_s"] >= 0
+    assert run(["construct", "--method", "oval", "--q", "9", "--k", "2",
+                "--verify", "none", "--format", "json"]) == EXIT_OK
+    res = json.loads(capsys.readouterr().out)
+    assert res["verification"] == "skipped"
+    assert res["verify_mode"] is res["pairs_checked"] is res["verify_s"] \
+        is None
+    # the text line is unchanged
+    assert run(["construct", "--method", "lift-prime", "--k", "2",
+                "--p", "1777", "--basis", "5,0,2",
+                "--verify", "sample:3000:1"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "q=1777 sets=90 k=2 verification=sampled 3000 pairs "
+        "provenance=lift_prime(r=7,m=5,t=2,p=1777)\n")
+
+
+def test_tsv_is_offered_by_table_only(capsys):
+    for argv in (["bound", "--q", "7", "--k", "3"],
+                 ["construct", "--method", "best", "--q", "9", "--k", "2"],
+                 ["search", "--q", "3", "--k", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--format", "tsv"])
+        assert exc.value.code == EXIT_USAGE, argv
+    assert "invalid choice: 'tsv'" in capsys.readouterr().err
+
+
 def test_construct_best_reports_branches(capsys):
     assert run(["construct", "--method", "best", "--q", "121",
                 "--k", "2"]) == EXIT_OK
