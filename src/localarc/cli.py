@@ -461,7 +461,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--fix-first", dest="fix_first", action="store_true",
                     help="pin the first set to a fixed k-arc (k <= 4)")
     pi.add_argument("--out", dest="out_path")
-    common(pi)
 
     pl = sub.add_parser("lrc-params", help="code parameters of a family")
     pl.add_argument("--in", dest="in_path", required=True)

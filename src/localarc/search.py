@@ -32,6 +32,7 @@ import re
 import time
 from dataclasses import dataclass
 from importlib import resources
+from itertools import combinations
 from typing import Sequence
 
 from .arcs import LocalArcFamily, NotVerified, verify_local_arc
@@ -143,7 +144,8 @@ def exact_max(
     """
     if k < 2:
         raise ValueError("uniformity k must be at least 2")
-    if budget is not None and budget <= 0:
+    # written so that a NaN budget, which would never expire, fails it
+    if budget is not None and not budget > 0:
         raise ValueError("budget must be positive when given")
     if symmetry is not None and symmetry not in _SYMMETRY_MODES:
         raise ValueError(f"symmetry must be one of {_SYMMETRY_MODES}")
@@ -210,8 +212,11 @@ def _dfs(
     ascending order.  A secant of a completed set lies in dead already,
     so shutting it too changes nothing.  The point that completes a set
     shuts nothing; instead every line through two of the set's points
-    goes dead.  A new set starts only while the free points from its
-    first point on could still beat the incumbent.
+    goes dead, read from a cache of the pairs met so far.  A set's last
+    point is walked in the loop of its second-to-last one, and no call
+    is made for a point that leaves its set no candidate, so neither
+    counts a node nor reads the clock.  A new set starts only while the
+    free points from its first point on could still beat the incumbent.
     """
     n = plane.n_points
     line_mask = [sum(1 << p for p in plane.points_on(lid))
@@ -221,6 +226,8 @@ def _dfs(
     # candidates for a set's next point leave room for the rest of it;
     # room[1] holds every point
     room = [(1 << (n - need + 1)) - 1 for need in range(k + 1)]
+    # the secant of points a < b, keyed a * n + b, for the pairs met
+    secant: dict[int, int] = {}
     best_sets: list[list[int]] = []
     best = nodes = 0
     stop = timed_out = False
@@ -235,15 +242,17 @@ def _dfs(
             if best >= cap:
                 stop = True
                 return
-        # a line through two points of the set is a secant of it
-        rest = 0
-        for p in cur:
-            rest |= 1 << p
-        for p in cur:
-            rest ^= 1 << p
-            for lm in star[p]:
-                if lm & rest:
-                    dead |= lm
+        # the line through two points of the set is a secant of it
+        for a, b in combinations(cur, 2):
+            key = a * n + b
+            try:
+                dead |= secant[key]
+            except KeyError:
+                for lm in star[a]:
+                    if lm >> b & 1:
+                        secant[key] = lm
+                        dead |= lm
+                        break
         open_set(cur[0] + 1, used, dead, done)
 
     def extend_set(lo: int, allowed: int, used: int, dead: int,
@@ -260,9 +269,30 @@ def _dfs(
             if (deadline is not None and not nodes & 2047
                     and time.monotonic() > deadline):
                 raise _Timeout
-            if need == 1:
+            if need == 2:
+                # the set's last point is walked here; allowed lies in
+                # room[1], and only lines through p that hold a
+                # candidate need the shut test
+                last = allowed >> p + 1 << p + 1
+                for lm in star[p]:
+                    if lm & last and lm & used:
+                        last &= ~lm
+                        if not last:
+                            break
+                while last:
+                    end = last & -last
+                    last ^= end
+                    nodes += 1
+                    if (deadline is not None and not nodes & 2047
+                            and time.monotonic() > deadline):
+                        raise _Timeout
+                    complete_set(cur + (p, end.bit_length() - 1),
+                                 used | low | end, dead, done)
+                    if stop:
+                        return
+            elif need == 1:  # k = 2: open_set placed the first point
                 complete_set(cur + (p,), used | low, dead, done)
-            else:
+            elif (allowed & room[need - 1]) >> p + 1:
                 shut = 0
                 for lm in star[p]:
                     if lm & used:

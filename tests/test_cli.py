@@ -287,6 +287,15 @@ def test_ilp_export_stdout(capsys):
     assert "Maximize" in capsys.readouterr().out
 
 
+def test_ilp_export_has_no_format_flag(capsys):
+    # the model is LP text whatever is asked, so --format is refused
+    with pytest.raises(SystemExit) as exc:
+        run(["ilp-export", "--q", "2", "--k", "2", "--cap", "1",
+             "--format", "json"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
 def test_construct_oval_roundtrip(tmp_path, capsys):
     out = tmp_path / "fam.json"
     assert run(["construct", "--method", "oval", "--q", "9", "--k", "5",
@@ -493,6 +502,16 @@ def test_construct_case3_needs_both_or_neither_m(given, capsys):
 def test_search_nonpositive_limits_are_usage_errors(flag, capsys):
     assert run(["search", "--q", "3", "--k", "2", flag, "0"]) == EXIT_USAGE
     assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--q", "7", "--k", "2"],
+    ["table", "--q", "2", "--k", "2"],
+])
+def test_nan_budget_is_a_usage_error(argv, capsys):
+    # a NaN budget never expires: without the check (7, 2) runs for hours
+    assert run(argv + ["--budget", "nan"]) == EXIT_USAGE
+    assert "budget must be positive" in capsys.readouterr().err
 
 
 def test_console_entry_subprocess():

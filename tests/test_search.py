@@ -126,6 +126,9 @@ def test_config_validation():
         exact_max(5, 2, cap=0)
     with pytest.raises(ValueError):
         exact_max(5, 2, budget=0)
+    # a NaN deadline never passes, so the search would run unbounded
+    with pytest.raises(ValueError, match="budget must be positive"):
+        exact_max(7, 2, budget=float("nan"))
     with pytest.raises(TypeError):
         exact_max(5)
 
@@ -367,8 +370,16 @@ _OPEN_Q7 = {(7, 2, "none", None), (7, 2, "fix-first-arc", None),
             (7, 5, "none", None), (7, 5, "none", 3), (7, 5, "none", 5),
             (7, 6, "none", None), (7, 6, "none", 3), (7, 6, "none", 5)}
 
+# q = 8 and 9, fields that are not prime, without symmetry: at k = 2 every
+# set completes straight from its first point, at k = 5 and 6 a point
+# that leaves its set no candidate makes no call
+_Q89_CELLS = [(q, k, "none", cap) for q in (8, 9) for k in (2, 5, 6)
+              for cap in (None, 3)]
+# these three reach the cap of 3 sets within 15 nodes
+_Q89_CLOSING = [(8, 2, "none", 3), (8, 5, "none", 3), (9, 2, "none", 3)]
+
 _CLOSING_CELLS = [c for c in _engine_cells((2, 3, 4, 5, 7))
-                  if c not in _OPEN_Q7]
+                  if c not in _OPEN_Q7] + _Q89_CLOSING
 
 
 @pytest.mark.parametrize("q,k,symmetry,cap", _CLOSING_CELLS)
@@ -396,6 +407,13 @@ def _compare_prefix(monkeypatch, q, k, symmetry, cap, checks):
 def test_engine_matches_reference_on_a_tree_prefix(monkeypatch, q, k,
                                                    symmetry, cap):
     _compare_prefix(monkeypatch, q, k, symmetry, cap, checks=7)
+
+
+@pytest.mark.parametrize("q,k,symmetry,cap",
+                         [c for c in _Q89_CELLS if c not in _Q89_CLOSING])
+def test_engine_matches_reference_on_a_short_tree_prefix(monkeypatch, q, k,
+                                                         symmetry, cap):
+    _compare_prefix(monkeypatch, q, k, symmetry, cap, checks=3)
 
 
 @pytest.mark.slow
