@@ -756,23 +756,16 @@ def derive_phi(family: LocalArcFamily) -> tuple[tuple[int, ...], bool]:
     The representative is each set's smallest secant.  The companion flag
     reports whether every chosen line has at least two points lying on no
     other chosen line; equivalently, the chosen lines seen as points of
-    the dual plane form a 2-quasiarc.  Incidence in the homogeneous
-    presentation is a symmetric dot product, so the dual check reuses
-    tangent_profile on line ids there.
+    the dual plane form a 2-quasiarc.  The polarity ``plane.dual`` carries
+    lines to points and keeps incidence, so tangent_profile answers the
+    dual question in the family's own plane.
     """
     if any(len(family.sets[i]) < 2 for i in range(family.n_sets)):
         raise ValueError("every set needs at least two points to have a secant")
     phi = tuple(secants_of(family.plane, s)[0] for s in family.sets)
     if len(set(phi)) != len(phi):
         return phi, False
-    if family.plane.kind == "homogeneous":
-        dual_plane, dual_ids = family.plane, phi
-    else:
-        from localarc.plane import Plane as _Plane, convert_line
-
-        dual_plane = _Plane(family.plane.field, "homogeneous")
-        dual_ids = tuple(convert_line(family.plane, dual_plane, l) for l in phi)
-    ok = is_t_quasiarc(dual_plane, dual_ids, 2)
+    ok = is_t_quasiarc(family.plane, [family.plane.dual(l) for l in phi], 2)
     return phi, ok
 
 

@@ -20,13 +20,14 @@ and on [inf].  Ids follow the same packing, affine first, then slopes, then
 the extra point.  The quadratic incidence rule needs 2 to be invertible, so
 this presentation refuses characteristic 2.
 
-Both presentations describe the same abstract plane; convert_point and
-convert_line move ids between them through the maps
+Both presentations describe the same abstract plane.  The one map between
+them is the point map
 
     (x, y) -> (1 : x : y - x^2)     (z) -> (0 : 1 : -2z)     (inf) -> (0 : 0 : 1)
-    [a, b] -> <a^2 + b : -2a : -1>  [c] -> <-c : 1 : 0>      [inf] -> <1 : 0 : 0>
 
-which carry one incidence relation exactly onto the other.
+(``Plane.coords`` of a planar id, inverted by convert_point), which
+carries one incidence relation exactly onto the other.  Lines follow by
+``join``: convert_line carries two points of the line and joins them.
 """
 
 from __future__ import annotations
@@ -198,12 +199,12 @@ class Plane:
     """PG(2, q) in one presentation, with closure-based incidence kernels.
 
     ``coords(pid)`` is the point's normalised homogeneous triple (first
-    nonzero coordinate 1), the same in both presentations: the triple of
-    the module docstring's maps for a planar id, the packed triple for a
-    homogeneous one.  ``dual(i)`` swaps points and lines by a polarity
-    that keeps incidence, ``incident(p, l) == incident(dual(l), dual(p))``,
-    so ``meet`` and ``lines_through`` are ``join`` and ``points_on``
-    seen through it.
+    nonzero coordinate 1), the same in both presentations: the image
+    under the module docstring's point map for a planar id, the packed
+    triple for a homogeneous one.  ``dual(i)`` swaps points and lines by
+    a polarity that keeps incidence,
+    ``incident(p, l) == incident(dual(l), dual(p))``, so ``meet`` and
+    ``lines_through`` are ``join`` and ``points_on`` seen through it.
     """
 
     def __init__(self, field: Field, kind: str = "planar"):
@@ -221,6 +222,7 @@ class Plane:
          self.lines_through, self.coords, self.dual) = build(field)
         self.infinity_point = self.q * self.q + self.q
         self.infinity_line = self.q * self.q + self.q
+        self._line_brackets = "[]" if kind == "planar" else "<>"
 
     def conic(self) -> list[int]:
         """Ids of the conic x1^2 = x0 x2: (1 : t : t^2) in t order, then
@@ -286,35 +288,23 @@ class Plane:
             raise ValueError(f"bad coefficient array {token!r}")
         return f.from_coeffs(digits)
 
-    def point_str(self, pid: int) -> str:
+    def _literal(self, i: int, brackets: str) -> str:
         q, q2 = self.q, self.q * self.q
-        fmt = self._fmt
-        if self.kind == "planar":
-            if pid < q2:
-                return f"({fmt(pid // q)},{fmt(pid % q)})"
-            if pid < q2 + q:
-                return f"({fmt(pid - q2)})"
-            return "(inf)"
-        if pid < q2:
-            return f"({fmt(1)}:{fmt(pid // q)}:{fmt(pid % q)})"
-        if pid < q2 + q:
-            return f"({fmt(0)}:{fmt(1)}:{fmt(pid - q2)})"
-        return f"({fmt(0)}:{fmt(0)}:{fmt(1)})"
+        if self.kind == "homogeneous":
+            body = ":".join(map(self._fmt, self.coords(i)))
+        elif i < q2:
+            body = f"{self._fmt(i // q)},{self._fmt(i % q)}"
+        elif i < q2 + q:
+            body = self._fmt(i - q2)
+        else:
+            body = "inf"
+        return brackets[0] + body + brackets[1]
+
+    def point_str(self, pid: int) -> str:
+        return self._literal(pid, "()")
 
     def line_str(self, lid: int) -> str:
-        q, q2 = self.q, self.q * self.q
-        fmt = self._fmt
-        if self.kind == "planar":
-            if lid < q2:
-                return f"[{fmt(lid // q)},{fmt(lid % q)}]"
-            if lid < q2 + q:
-                return f"[{fmt(lid - q2)}]"
-            return "[inf]"
-        if lid < q2:
-            return f"<{fmt(1)}:{fmt(lid // q)}:{fmt(lid % q)}>"
-        if lid < q2 + q:
-            return f"<{fmt(0)}:{fmt(1)}:{fmt(lid - q2)}>"
-        return f"<{fmt(0)}:{fmt(0)}:{fmt(1)}>"
+        return self._literal(lid, self._line_brackets)
 
     @staticmethod
     def _split_top(body: str, sep: str) -> list[str]:
@@ -333,9 +323,9 @@ class Plane:
         parts.append("".join(cur))
         return parts
 
-    def _parse(self, s: str, open_: str, close: str) -> int:
+    def _parse(self, s: str, brackets: str) -> int:
         s = s.strip()
-        if not (s.startswith(open_) and s.endswith(close)):
+        if not (s.startswith(brackets[0]) and s.endswith(brackets[1])):
             raise ValueError(f"cannot parse {s!r}")
         body = s[1:-1].strip()
         q, q2 = self.q, self.q * self.q
@@ -361,12 +351,10 @@ class Plane:
         raise ValueError(f"{s!r} is not normalised (first nonzero must be 1)")
 
     def parse_point(self, s: str) -> int:
-        return self._parse(s, "(", ")")
+        return self._parse(s, "()")
 
     def parse_line(self, s: str) -> int:
-        if self.kind == "planar":
-            return self._parse(s, "[", "]")
-        return self._parse(s, "<", ">")
+        return self._parse(s, self._line_brackets)
 
     def __repr__(self):
         return f"Plane(q={self.q}, {self.kind})"
@@ -376,14 +364,11 @@ def make_plane(field_or_q, kind: str = "planar") -> Plane:
     return Plane(_as_field(field_or_q), kind)
 
 
-def _check_pair(src: Plane, dst: Plane):
+def _check_pair(src: Plane, dst: Plane) -> bool:
+    # whether the ids need carrying; a planar plane has odd characteristic
     if src.field is not dst.field:
         raise ValueError("presentations over different fields")
-    if src.kind == dst.kind:
-        return False
-    if "planar" in (src.kind, dst.kind) and src.field.p == 2:
-        raise EvenCharPlanar("planar presentation needs odd characteristic")
-    return True
+    return src.kind != dst.kind
 
 
 def convert_point(src: Plane, dst: Plane, pid: int) -> int:
@@ -408,45 +393,15 @@ def convert_point(src: Plane, dst: Plane, pid: int) -> int:
 
 
 def convert_line(src: Plane, dst: Plane, lid: int) -> int:
-    """Carry a line id between the two presentations of the same plane."""
+    """Carry a line id between the two presentations of the same plane.
+
+    Lines 0, q^2 and q^2 + q are the sides of a triangle in both
+    presentations, so the line meets the sides other than itself in at
+    least two distinct points; their images span the image line.
+    """
     if not _check_pair(src, dst):
         return lid
-    f = src.field
-    q, q2 = src.q, src.q * src.q
-    two = 2 % f.p
-    if src.kind == "planar":
-        if lid < q2:
-            a, b = divmod(lid, q)
-            l0 = f.add(f.mul(a, a), b)  # <a^2 + b : -2a : -1>
-            l1 = f.neg(f.mul(two, a))
-            l2 = f.neg(1)
-            if l0:
-                t = f.inv(l0)
-                return f.mul(l1, t) * q + f.mul(l2, t)
-            if l1:
-                return q2 + f.mul(l2, f.inv(l1))
-            return q2 + q  # [0,0] maps to <0:0:-1>
-        if lid < q2 + q:
-            c = lid - q2
-            l0 = f.neg(c)  # <-c : 1 : 0>
-            if l0:
-                return f.inv(l0) * q
-            return q2
-        return 0  # <1 : 0 : 0>
-    # homogeneous -> planar: undo the map above
-    if lid < q2:
-        l1, l2 = divmod(lid, q)
-        l0 = 1
-    elif lid < q2 + q:
-        l0, l1, l2 = 0, 1, lid - q2
-    else:
-        l0, l1, l2 = 0, 0, 1
-    if l2:
-        s = f.neg(f.inv(l2))  # rescale so the last coordinate is -1
-        a = f.mul(f.neg(f.mul(s, l1)), f.inv(two))
-        b = f.sub(f.mul(s, l0), f.mul(a, a))
-        return a * q + b
-    if l1:
-        c = f.neg(f.mul(l0, f.inv(l1)))
-        return q2 + c
-    return q2 + q
+    q2 = src.q * src.q
+    u, v, *_ = {src.meet(lid, side) for side in (0, q2, q2 + src.q)
+                if side != lid}
+    return dst.join(convert_point(src, dst, u), convert_point(src, dst, v))

@@ -35,6 +35,8 @@ class InvalidBasis(ValueError):
 
 def is_sdf_mod(A, m: int) -> bool:
     """No difference of distinct elements is a square residue mod m."""
+    if m < 1:
+        raise ValueError("modulus must be positive")
     elems = sorted(set(A))
     if elems and not (0 <= elems[0] and elems[-1] < m):
         raise ValueError(f"residues must lie in [0, {m})")

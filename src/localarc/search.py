@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .arcs import LocalArcFamily, NotVerified, verify_local_arc
 from .bounds import eml_upper
@@ -219,10 +219,15 @@ def _dfs(
     free points from its first point on could still beat the incumbent.
     """
     n = plane.n_points
-    line_mask = [sum(1 << p for p in plane.points_on(lid))
-                 for lid in range(plane.n_lines)]
-    star = [tuple(line_mask[lid] for lid in plane.lines_through(p))
-            for p in range(n)]
+
+    def clocked(ids: range) -> Iterator[int]:
+        # set-up reads the clock at the nodes' rhythm, every 2,048 ids
+        for i in ids:
+            if (deadline is not None and i & 2047 == 2047
+                    and time.monotonic() > deadline):
+                raise _Timeout
+            yield i
+
     # candidates for a set's next point leave room for the rest of it;
     # room[1] holds every point
     room = [(1 << (n - need + 1)) - 1 for need in range(k + 1)]
@@ -330,6 +335,10 @@ def _dfs(
                 return
 
     try:
+        line_mask = [sum(1 << p for p in plane.points_on(lid))
+                     for lid in clocked(range(plane.n_lines))]
+        star = [tuple(line_mask[lid] for lid in plane.lines_through(p))
+                for p in clocked(range(n))]
         if symmetry == "fix-first-arc":
             first = _greedy_arc(plane, k)
             complete_set(tuple(first), sum(1 << p for p in first), 0, ())

@@ -40,7 +40,7 @@ from localarc.construct import (
     generic_k_arc,
     lift_prime,
 )
-from localarc.plane import make_plane
+from localarc.plane import convert_line, make_plane
 from localarc.sdf import BASIS_5
 
 P5 = make_plane(5, "planar")
@@ -635,6 +635,29 @@ def test_derive_phi_flags_shared_secants():
     )
     phi, dual_ok = derive_phi(fam)
     assert len(set(phi)) == 1 and not dual_ok
+
+
+def test_derive_phi_matches_the_homogeneous_dual_check():
+    # the chosen lines carried to the homogeneous plane, where a line id is
+    # its own dual point, must give the verdict of the planar polarity
+    rng = random.Random(25)
+    cases = flagged = 0
+    for q in (3, 5, 7, 9):
+        pl, ph = make_plane(q, "planar"), make_plane(q, "homogeneous")
+        for _ in range(70):
+            m = rng.randint(3, min(10, pl.n_points // 2))
+            pts = rng.sample(range(pl.n_points), 2 * m)
+            fam = LocalArcFamily(pl, [tuple(sorted(pts[2 * i:2 * i + 2]))
+                                      for i in range(m)])
+            phi, ok = derive_phi(fam)
+            if len(set(phi)) < m:
+                assert not ok
+                continue
+            cases += 1
+            flagged += not ok
+            assert ok == is_t_quasiarc(
+                ph, [convert_line(pl, ph, l) for l in phi], 2)
+    assert cases >= 200 and flagged >= 50
 
 
 def test_reduce_uniformity_chain():

@@ -256,6 +256,17 @@ def test_sdf_verify_rejects(capsys):
                 "--mod", "25"]) == EXIT_REJECTED
 
 
+@pytest.mark.parametrize("elements", [",", "0,1"])
+@pytest.mark.parametrize("modulus", ["0", "-4"])
+def test_sdf_verify_nonpositive_modulus_is_usage_error(capsys, elements,
+                                                      modulus):
+    assert run(["sdf", "verify", "--elements", elements,
+                "--mod", modulus]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "modulus must be positive" in captured.err
+
+
 def test_sdf_build_and_max(capsys):
     assert run(["sdf", "build", "--n", "50", "--format",
                 "json"]) == EXIT_OK

@@ -1,5 +1,6 @@
 """Every exported name resolves: no module's __all__ and no import in the
-package's __init__ names something that is gone."""
+package's __init__ names something that is gone.  No module asserts:
+python -O strips assert statements, so no result may rest on one."""
 
 import ast
 import importlib
@@ -34,3 +35,14 @@ def test_every_package_import_resolves():
         or not hasattr(localarc, name)
     ]
     assert imported and not missing
+
+
+SOURCES = sorted(Path(localarc.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text())
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)]
+    assert not lines

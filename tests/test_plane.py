@@ -55,7 +55,7 @@ def test_total_incidence_count():
         assert flags == n * (pl.q + 1)
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 9])
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])
 def test_presentation_conversion_is_an_isomorphism(q):
     pl = make_plane(q, "planar")
     ph = make_plane(q, "homogeneous")
@@ -148,6 +148,31 @@ def test_literal_roundtrip(name):
     for i in range(pl.n_points):
         assert pl.parse_point(pl.point_str(i)) == i
         assert pl.parse_line(pl.line_str(i)) == i
+
+
+# affine or (1 : u : v), slope or (0 : 1 : c), and the last id of each
+# plane: prime fields print residues, extension fields coefficient arrays
+LITERALS = {
+    ("planar", 5): [(23, "(4,3)", "[4,3]"), (28, "(3)", "[3]"),
+                    (30, "(inf)", "[inf]")],
+    ("planar", 25): [(623, "([4,4],[3,4])", "[[4,4],[3,4]]"),
+                     (628, "([3,0])", "[[3,0]]"), (650, "(inf)", "[inf]")],
+    ("homogeneous", 4): [
+        (14, "([1,0]:[1,1]:[0,1])", "<[1,0]:[1,1]:[0,1]>"),
+        (19, "([0,0]:[1,0]:[1,1])", "<[0,0]:[1,0]:[1,1]>"),
+        (20, "([0,0]:[0,0]:[1,0])", "<[0,0]:[0,0]:[1,0]>")],
+    ("homogeneous", 9): [
+        (79, "([1,0]:[2,2]:[1,2])", "<[1,0]:[2,2]:[1,2]>"),
+        (84, "([0,0]:[1,0]:[0,1])", "<[0,0]:[1,0]:[0,1]>"),
+        (90, "([0,0]:[0,0]:[1,0])", "<[0,0]:[0,0]:[1,0]>")],
+}
+
+
+@pytest.mark.parametrize("kind,q", sorted(LITERALS))
+def test_literals_are_pinned(kind, q):
+    pl = make_plane(q, kind)
+    for i, point, line in LITERALS[(kind, q)]:
+        assert (pl.point_str(i), pl.line_str(i)) == (point, line)
 
 
 def test_literal_rejects_garbage():

@@ -432,6 +432,24 @@ def test_engine_deadline_stops_at_the_same_node():
     assert got[1:] == (2048, True)
 
 
+def test_set_up_reads_the_clock_every_2048_lines(monkeypatch):
+    # PG(2, 47) has 2,257 lines, so set-up reads the clock once, at line
+    # 2,047, and a deadline already past stops it there
+    clock = _CheckClock()
+    monkeypatch.setattr(search, "time", clock)
+    assert _dfs(make_plane(47, kind="homogeneous"), 3, 5, 0.0,
+                "none") == ([], 0, True)
+    assert clock.reads == 1
+
+
+def test_budget_covers_set_up():
+    # building the masks of PG(2, 127)'s 16,257 lines alone takes seconds
+    start = time.monotonic()
+    res = exact_max(127, 3, budget=0.5)
+    assert time.monotonic() - start < 2
+    assert not res.optimal
+
+
 # the perfbench search-table cells: (q, k, cap) -> (sets, nodes, family)
 BENCH_CELLS = {
     (8, 3, None): (9, 136_547, [
