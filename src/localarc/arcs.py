@@ -860,6 +860,11 @@ def family_to_dict(family: LocalArcFamily) -> dict:
 def family_from_dict(data: dict) -> LocalArcFamily:
     """Inverse of family_to_dict; ValueError on data of any other shape."""
     try:
+        for key, kind in (("p", int), ("m", int), ("q", int), ("tower", bool)):
+            if key in data and type(data[key]) is not kind:
+                raise ValueError(f"malformed family: {key} must be "
+                                 f"{kind.__name__}, not "
+                                 f"{type(data[key]).__name__}")
         field = make_field(data["p"], data.get("m", 1),
                            data.get("tower", False))
         if "q" in data and data["q"] != field.q:

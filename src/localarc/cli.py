@@ -165,9 +165,18 @@ def _emit_family(ns: argparse.Namespace, fam: LocalArcFamily,
 # subcommands
 
 
+def _seed_family(ns: argparse.Namespace, default) -> LocalArcFamily:
+    """The --seed-file family, else default(--p, --k or 2)."""
+    if ns.in_path:
+        return family_from_dict(_load_json(ns.in_path))
+    if ns.p is None:
+        raise UsageError(f"{ns.method} needs --seed-file or --p")
+    return default(ns.p, ns.k or 2)
+
+
 def _cmd_construct(ns: argparse.Namespace) -> int:
     method = ns.method
-    check = False  # verification is applied once, per --verify
+    branches = {}
 
     if method == "oval":
         if ns.q is None or ns.k is None:
@@ -187,37 +196,20 @@ def _cmd_construct(ns: argparse.Namespace) -> int:
             seed = generic_k_arc(ns.k)
         else:
             raise UsageError("lift-prime needs --seed-file or --k")
-        fam = lift_prime(seed, ns.basis, ns.p, check=check)
+        fam = lift_prime(seed, ns.basis, ns.p, check=False)
     elif method == "case1":
-        if ns.in_path:
-            base = family_from_dict(_load_json(ns.in_path))
-        elif ns.p is not None:
-            base = conic_partition_seed(ns.p, ns.k or 2)
-        else:
-            raise UsageError("case1 needs --seed-file or --p")
-        fam = case1_lift(base, check=check)
+        fam = case1_lift(_seed_family(ns, conic_partition_seed), check=False)
     elif method == "case2":
         if ns.t is None:
             raise UsageError("case2 needs --t")
-        if ns.in_path:
-            base = family_from_dict(_load_json(ns.in_path))
-        elif ns.p is not None:
-            base = case1_lift(conic_partition_seed(ns.p, ns.k or 2),
-                              check=False)
-        else:
-            raise UsageError("case2 needs --seed-file or --p")
-        fam = case2_lift(base, ns.t, check=check)
+        base = _seed_family(ns, lambda p, k: case1_lift(
+            conic_partition_seed(p, k), check=False))
+        fam = case2_lift(base, ns.t, check=False)
     elif method == "case3":
         if ns.m is None:
             raise UsageError("case3 needs --m")
-        if ns.in_path:
-            base = family_from_dict(_load_json(ns.in_path))
-        elif ns.p is not None:
-            base = conic_partition_seed(ns.p, ns.k or 2)
-        else:
-            raise UsageError("case3 needs --seed-file or --p")
-        fam = case3_lift(base, ns.m, ns.m1, ns.m2, alphabet=ns.alphabet,
-                         check=check)
+        fam = case3_lift(_seed_family(ns, conic_partition_seed), ns.m,
+                         ns.m1, ns.m2, alphabet=ns.alphabet, check=False)
     else:  # best
         if ns.q is None or ns.k is None:
             raise UsageError("best needs --q and --k")
@@ -225,8 +217,11 @@ def _cmd_construct(ns: argparse.Namespace) -> int:
         if ns.fmt == "text":
             for branch, outcome in report.items():
                 print(f"# {branch}: {outcome}")
+        branches = {"branches": report}
 
-    _emit_family(ns, fam, *_apply_verification(fam, ns.verify_mode))
+    # every method builds with check=False: verification runs once, here
+    note, checked = _apply_verification(fam, ns.verify_mode)
+    _emit_family(ns, fam, note, {**checked, **branches})
     return EXIT_OK
 
 

@@ -46,7 +46,7 @@ from localarc.gf import (
     make_field,
 )
 from localarc.plane import Plane, make_plane
-from localarc.sdf import SdfBasis, digit_construct, sdf_subset
+from localarc.sdf import BASIS_5, SdfBasis, digit_construct, sdf_subset
 
 __all__ = [
     "KTooLarge",
@@ -466,8 +466,6 @@ def case1_lift(seed: LocalArcFamily, check: bool = True) -> LocalArcFamily:
     if field.m != 1:
         raise ValueError("case 1 starts from a prime field")
     p = field.p
-    if p == 2:
-        raise ValueError("odd characteristic required")
     up = make_field(p, 2)
     plane = make_plane(up, "planar")
     alpha = up.from_coeffs((0, 1))  # the polynomial generator x
@@ -652,7 +650,7 @@ def best_construction(
     consider("oval_partition", lambda: oval_partition(q, k))
     if m == 1:
         consider("lift_prime", lambda: lift(lift_prime(
-            generic_k_arc(k), SdfBasis(5, (0, 2)), p, check=False)))
+            generic_k_arc(k), BASIS_5, p, check=False)))
     elif m == 2:
         consider("case1", lambda: lift(case1_lift(
             conic_partition_seed(p, k), check=False)))

@@ -221,7 +221,6 @@ class Plane:
         (self.join, self.meet, self.incident, self.points_on,
          self.lines_through, self.coords, self.dual) = build(field)
         self.infinity_point = self.q * self.q + self.q
-        self.infinity_line = self.q * self.q + self.q
         self._line_brackets = "[]" if kind == "planar" else "<>"
 
     def conic(self) -> list[int]:
@@ -238,28 +237,6 @@ class Plane:
         if q % 2 == 0:
             pts.append(q * q)
         return pts
-
-    # -- checked wrappers ---------------------------------------------------
-
-    def line_through(self, u: int, v: int) -> int:
-        if u == v:
-            raise ValueError("two distinct points are needed")
-        return self.join(u, v)
-
-    def point_ids(self) -> range:
-        return range(self.n_points)
-
-    def affine_point(self, x: int, y: int) -> int:
-        return x * self.q + y
-
-    def slope_point(self, z: int) -> int:
-        return self.q * self.q + z
-
-    def affine_line(self, a: int, b: int) -> int:
-        return a * self.q + b
-
-    def vertical_line(self, c: int) -> int:
-        return self.q * self.q + c
 
     # -- literals -------------------------------------------------------------
     #

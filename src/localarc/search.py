@@ -37,7 +37,7 @@ from typing import Iterator, Sequence
 
 from .arcs import LocalArcFamily, NotVerified, verify_local_arc
 from .bounds import eml_upper
-from .plane import Plane, make_plane
+from .plane import Plane, convert_point, make_plane
 
 __all__ = [
     "SearchResult",
@@ -522,8 +522,7 @@ def check_certificate(family: LocalArcFamily, cap: int | None = None,
         raise ValueError("empty family has no certificate")
     k = len(sets[0])
     if plane.kind != "homogeneous":
-        from .plane import convert_point, make_plane as _mk
-        target = _mk(q, kind="homogeneous")
+        target = make_plane(q, kind="homogeneous")
         sets = [tuple(sorted(convert_point(plane, target, p) for p in s))
                 for s in sets]
         plane = target
@@ -608,7 +607,6 @@ def reproduce_table(
     ks: Sequence[int] | None = None,
     *,
     budget: float | None = None,
-    reference: dict[tuple[int, int], tuple[int, bool]] | None = None,
 ) -> list[CellResult]:
     """Run exact_max over reference cells and report agreement.
 
@@ -616,7 +614,7 @@ def reproduce_table(
     budget come back as lower-bound (or matches-bound when the
     reference itself is only a bound).
     """
-    ref = load_reference_table() if reference is None else reference
+    ref = load_reference_table()
     cells = sorted(ref)
     if qs is not None:
         cells = [c for c in cells if c[0] in set(qs)]

@@ -56,14 +56,14 @@ EX1_SEED = GenericSeed((((0, 4), (4, 4)), ((0, 3), (2, 3)), ((1, 3), (3, 3))),
 def column_pairs(plane):
     f = plane.field
     return [
-        (plane.affine_point(0, c), plane.affine_point(1, f.add(c, 1)))
+        (c, plane.q + f.add(c, 1))
         for c in range(plane.q)
     ]
 
 
 def conic(plane):
     f = plane.field
-    return [plane.affine_point(x, f.mul(2, f.mul(x, x))) for x in range(plane.q)]
+    return [x * plane.q + f.mul(2, f.mul(x, x)) for x in range(plane.q)]
 
 
 def oval(plane):
@@ -76,8 +76,7 @@ def test_column_pair_family_is_valid():
     assert verify_local_arc_oracle(fam).ok
     assert fam.k == 2 and fam.n_sets == 5 and fam.total_points == 10
     for other in (LocalArcFamily(P5, [(0, 6), (12, 18)]),
-                  LocalArcFamily(P5, [(P5.affine_point(0, y),)
-                                      for y in range(3)])):
+                  LocalArcFamily(P5, [(y,) for y in range(3)])):
         assert verify_local_arc(other).ok == verify_local_arc_oracle(other).ok
 
 
@@ -92,18 +91,18 @@ def test_overlap_detected_with_witness():
 
 
 def test_single_set_collinearity_detected():
-    pts = tuple(P5.affine_point(0, y) for y in range(3))
+    pts = tuple(range(3))  # (0, 0), (0, 1), (0, 2)
     fam = LocalArcFamily(P5, [pts])
     rep = verify_local_arc(fam)
     assert not rep.ok and rep.violation.kind == "collinear"
-    assert rep.violation.line == P5.vertical_line(0)
+    assert rep.violation.line == 25  # [0]
     assert len(rep.violation.points) >= 3
     assert all(P5.incident(p, rep.violation.line) for p in rep.violation.points)
 
 
 def test_cross_set_secant_violation():
-    a = (P5.affine_point(0, 0), P5.affine_point(0, 1))
-    b = (P5.affine_point(0, 2), P5.affine_point(1, 0))
+    a = (0, 1)  # (0, 0), (0, 1)
+    b = (2, 5)  # (0, 2), (1, 0)
     fam = LocalArcFamily(P5, [a, b])
     rep = verify_local_arc(fam)
     assert not rep.ok
@@ -113,7 +112,7 @@ def test_cross_set_secant_violation():
 
 def test_three_collinear_singletons_pass_pairwise():
     # any two of them make a 2-point arc; the rule never looks at three sets
-    fam = LocalArcFamily(P5, [(P5.affine_point(0, y),) for y in range(3)])
+    fam = LocalArcFamily(P5, [(y,) for y in range(3)])
     assert verify_local_arc(fam).ok
 
 
@@ -147,11 +146,11 @@ def random_perturbed_family(rng):
     plane = make_plane(q, rng.choice(["planar", "homogeneous"]))
     style = rng.randrange(3)
     if style == 0:
-        pts = [plane.affine_point(x, rng.randrange(q)) for x in range(q)]
+        pts = [x * q + rng.randrange(q) for x in range(q)]
         k = rng.choice([1, 2])
     else:
         f = plane.field
-        pts = [plane.affine_point(x, f.mul(2, f.mul(x, x))) for x in range(q)]
+        pts = [x * q + f.mul(2, f.mul(x, x)) for x in range(q)]
         if style == 2:
             pts.append(plane.infinity_point)
         k = rng.choice([2, 3, 4])
@@ -199,8 +198,8 @@ def test_sample_verify_is_deterministic_and_replayable():
     bad = LocalArcFamily(
         P5,
         [
-            (P5.affine_point(0, 0), P5.affine_point(0, 1)),
-            (P5.affine_point(0, 2), P5.affine_point(1, 0)),
+            (0, 1),  # (0, 0), (0, 1)
+            (2, 5),  # (0, 2), (1, 0)
         ],
     )
     r1 = sample_verify(bad, 64, seed=42)
@@ -334,7 +333,7 @@ EQUIV_PLANES = [make_plane(q, "planar") for q in (3, 5, 7, 9, 11, 25)] + [
 
 def random_arc(rng, plane):
     """A maximal arc found greedily in a random point order."""
-    pts = list(plane.point_ids())
+    pts = list(range(plane.n_points))
     rng.shuffle(pts)
     arc, secants = [], set()
     for p in pts:
@@ -352,7 +351,7 @@ def random_family(rng, plane):
     arc = random_arc(rng, plane)
     k = rng.randint(1, max(1, min(4, len(arc) // 2)))
     n_sets = rng.randint(2, max(2, len(arc) // k))
-    pool = arc if n_sets * k <= len(arc) else list(plane.point_ids())
+    pool = arc if n_sets * k <= len(arc) else list(range(plane.n_points))
     rng.shuffle(pool)
     sets = [list(pool[i * k:(i + 1) * k]) for i in range(n_sets)]
     sets = [st if len(st) == k else rng.sample(range(plane.n_points), k)
@@ -419,14 +418,14 @@ def test_sample_verify_equals_reference_on_planted_unions(plane):
 def test_first_collinear_pivots_or_takes_the_determinant():
     f = P7.field
     q2 = P7.q * P7.q
-    on_parabola = [P7.affine_point(x, f.mul(x, x)) for x in (1, 2, 3)]
+    on_parabola = [x * 7 + f.mul(x, x) for x in (1, 2, 3)]
     cases = {
         # (0) and the points (x, x^2) of [0, 0] are collinear
         (q2, q2 + 1, *on_parabola[:2]): (0, 2, 3),
         (*on_parabola[:2], q2): (0, 1, 2),
-        (on_parabola[0], P7.affine_point(4, 4), *on_parabola[1:]): (0, 2, 3),
+        (on_parabola[0], 4 * 7 + 4, *on_parabola[1:]): (0, 2, 3),
         (q2 + 1, q2 + 2, P7.infinity_point): (0, 1, 2),
-        (P7.affine_point(0, 1), q2 + 3, P7.affine_point(5, 0)): None,
+        (0 * 7 + 1, q2 + 3, 5 * 7 + 0): None,
     }
     for union, expected in cases.items():
         pts = [P7.coords(p) for p in union]
@@ -585,17 +584,17 @@ def test_sampled_translation_pairs_build_sets_only_to_name_a_violation(
 def test_is_arc_and_secants():
     pts = conic(P7)
     assert is_arc(P7, pts)
-    assert not is_arc(P7, [P7.affine_point(0, y) for y in range(3)])
+    assert not is_arc(P7, [0, 1, 2])  # (0, 0), (0, 1), (0, 2)
     with pytest.raises(ValueError):
         is_arc(P7, [0, 0, 1])
     assert len(secants_of(P7, pts)) == len(pts) * (len(pts) - 1) // 2
     with pytest.raises(NotAnArc):
-        secants_of(P7, [P7.affine_point(0, y) for y in range(3)])
+        secants_of(P7, [0, 1, 2])
 
 
 def test_squares_on_the_parabola_are_collinear():
     # (0,0), (1,1), (2,4) all satisfy y = x^2, which is a line here
-    pts = [P13.affine_point(0, 0), P13.affine_point(1, 1), P13.affine_point(2, 4)]
+    pts = [0 * 13 + 0, 1 * 13 + 1, 2 * 13 + 4]
     assert not is_arc(P13, pts)
     assert P13.join(pts[0], pts[1]) == P13.parse_line("[0,0]")
 
@@ -629,8 +628,8 @@ def test_derive_phi_flags_shared_secants():
     fam = LocalArcFamily(
         P5,
         [
-            (P5.affine_point(0, 0), P5.affine_point(0, 1)),
-            (P5.affine_point(0, 2), P5.affine_point(0, 3)),
+            (0, 1),  # (0, 0), (0, 1)
+            (2, 3),  # (0, 2), (0, 3)
         ],
     )
     phi, dual_ok = derive_phi(fam)
@@ -710,7 +709,7 @@ def test_lrc_export_on_four_uniform_family():
     with pytest.raises(ValueError):
         lrc_params(LocalArcFamily(P7, [tuple(pts[:4])]))
     # four points of one line in each set: 4-uniform, not a local arc
-    columns = [tuple(P7.affine_point(x, y) for y in range(4)) for x in (0, 1)]
+    columns = [tuple(x * 7 + y for y in range(4)) for x in (0, 1)]
     with pytest.raises(NotVerified):
         lrc_params(LocalArcFamily(P7, columns))
 

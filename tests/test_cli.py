@@ -402,6 +402,67 @@ def test_construct_best_reports_branches(capsys):
     assert "sets=61" in out
 
 
+def test_construct_best_json_carries_the_branch_report(capsys):
+    assert run(["construct", "--method", "best", "--q", "25", "--k", "2",
+                "--format", "json"]) == EXIT_OK
+    row = json.loads(capsys.readouterr().out)
+    assert row["num_sets"] == 13
+    assert row["branches"] == {"oval_partition": 13, "case1": 10,
+                               "winner": "oval_partition(q=25,k=2)"}
+
+
+def test_construct_json_of_other_methods_has_no_branches(capsys):
+    assert run(["construct", "--method", "oval", "--q", "25", "--k", "2",
+                "--format", "json"]) == EXIT_OK
+    assert list(json.loads(capsys.readouterr().out)) == [
+        "q", "num_sets", "k", "provenance", "verification", "verify_mode",
+        "pairs_checked", "verify_s", "out"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--method", "oval"], "oval needs --q and --k"),
+    (["--method", "oval", "--q", "25"], "oval needs --q and --k"),
+    (["--method", "oval", "--k", "2"], "oval needs --q and --k"),
+    (["--method", "best"], "best needs --q and --k"),
+    (["--method", "best", "--q", "25"], "best needs --q and --k"),
+    (["--method", "best", "--k", "2"], "best needs --q and --k"),
+    (["--method", "generic"], "generic needs --k"),
+    (["--method", "lift-prime"], "lift-prime needs --p and --basis"),
+    (["--method", "lift-prime", "--p", "11", "--k", "2"],
+     "lift-prime needs --p and --basis"),
+    (["--method", "lift-prime", "--p", "11", "--basis", "5,0,2"],
+     "lift-prime needs --seed-file or --k"),
+    (["--method", "case1"], "case1 needs --seed-file or --p"),
+    (["--method", "case1", "--k", "2"], "case1 needs --seed-file or --p"),
+    (["--method", "case2", "--t", "2"], "case2 needs --seed-file or --p"),
+    (["--method", "case3", "--m", "3"], "case3 needs --seed-file or --p"),
+    (["--method", "case2"], "case2 needs --t"),
+    (["--method", "case2", "--p", "5"], "case2 needs --t"),
+    (["--method", "case3"], "case3 needs --m"),
+    (["--method", "case3", "--p", "5"], "case3 needs --m"),
+])
+def test_construct_missing_arguments_are_usage_errors(argv, message, capsys):
+    assert run(["construct", *argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("family,key", [
+    ({"p": 5, "q": "5", "sets": []}, "q"),
+    ({"p": 5, "m": 4, "tower": "yes", "sets": []}, "tower"),
+    ({"p": True, "sets": []}, "p"),
+    ({"p": 5, "m": 2.0, "sets": []}, "m"),
+])
+def test_verify_refuses_mistyped_field_header(tmp_path, capsys, family, key):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(family))
+    assert run(["verify", "--in", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage error: malformed family: {key} ")
+    assert captured.out == ""
+
+
 def test_table_small(capsys):
     assert run(["table", "--q", "2,3", "--format", "tsv"]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()

@@ -1,6 +1,7 @@
 """Every exported name resolves: no module's __all__ and no import in the
 package's __init__ names something that is gone.  No module asserts:
-python -O strips assert statements, so no result may rest on one."""
+python -O strips assert statements, so no result may rest on one.  Every
+import sits at module level, where a reader of the header sees it."""
 
 import ast
 import importlib
@@ -45,4 +46,14 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text())
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
+    assert not lines
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_are_module_level(path):
+    tree = ast.parse(path.read_text())
+    top = {id(node) for node in tree.body}
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and id(node) not in top]
     assert not lines

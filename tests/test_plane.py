@@ -116,30 +116,30 @@ def test_make_plane_argument_forms():
 
 def test_planar_incidence_rules_explicitly():
     pl = make_plane(5, "planar")
-    f = pl.field
+    f, q = pl.field, pl.q
     # (x,y) on [a,b] iff y - b = (x - a)^2
     for x in range(5):
         for y in range(5):
             for a in range(5):
                 for b in range(5):
                     want = f.sub(y, b) == f.mul(f.sub(x, a), f.sub(x, a))
-                    assert pl.incident(pl.affine_point(x, y), pl.affine_line(a, b)) == want
+                    assert pl.incident(x * q + y, a * q + b) == want
     # slope point (z) on [a,b] iff z = a; (inf) on every vertical and [inf]
     for z in range(5):
         for a in range(5):
             for b in range(5):
-                assert pl.incident(pl.slope_point(z), pl.affine_line(a, b)) == (z == a)
-        assert pl.incident(pl.slope_point(z), pl.infinity_line)
-        assert not pl.incident(pl.infinity_point, pl.affine_line(z, 0))
-        assert pl.incident(pl.infinity_point, pl.vertical_line(z))
-    assert pl.incident(pl.infinity_point, pl.infinity_line)
+                assert pl.incident(q * q + z, a * q + b) == (z == a)
+        assert pl.incident(q * q + z, q * q + q)
+        assert not pl.incident(pl.infinity_point, z * q)
+        assert pl.incident(pl.infinity_point, q * q + z)
+    assert pl.incident(pl.infinity_point, q * q + q)
 
 
 def test_squares_set_is_a_line_in_planar_coordinates():
     pl = make_plane(7, "planar")
     f = pl.field
-    pts = [pl.affine_point(x, f.mul(x, x)) for x in range(7)]
-    assert {pl.join(u, v) for u, v in combinations(pts, 2)} == {pl.affine_line(0, 0)}
+    pts = [x * 7 + f.mul(x, x) for x in range(7)]
+    assert {pl.join(u, v) for u, v in combinations(pts, 2)} == {0}  # [0, 0]
 
 
 @pytest.mark.parametrize("name", sorted(PLANES))
@@ -198,8 +198,6 @@ def test_join_meet_duality(data):
     assert pl.incident(u, l) and pl.incident(v, l)
     p = pl.meet(u, v)
     assert pl.incident(p, u) and pl.incident(p, v)
-    with pytest.raises(ValueError):
-        pl.line_through(u, u)
 
 
 @pytest.mark.parametrize("q", [7, 9])
