@@ -1,8 +1,12 @@
 """Command line surface over the whole toolkit.
 
 One binary with subcommands; families travel as JSON, tables as TSV.
-Exit status: 0 on success, 1 when a verification rejects (the witness
-is printed), 2 on usage errors.
+A subcommand returns its exit code, its JSON value and its text lines
+and prints nothing.  ``run`` alone prints, the JSON value under
+``--format json`` and the text lines otherwise, and alone maps outcomes
+to the exit status: 0 on success; 1 for a rejected verification (the
+witness is printed), a failing seed, an ``sdf verify`` set that is not
+square-difference-free or a table mismatch; 2 for usage and file errors.
 """
 
 from __future__ import annotations
@@ -137,46 +141,35 @@ def _load_json(path: str) -> dict:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit_family(ns: argparse.Namespace, fam: LocalArcFamily,
-                 note: str, checked: dict) -> None:
-    if ns.out_path:
-        _write_text(ns.out_path,
-                    json.dumps(family_to_dict(fam), indent=1) + "\n")
-    if ns.fmt == "json":
-        print(json.dumps({
-            "q": fam.plane.q,
-            "num_sets": fam.n_sets,
-            "k": fam.k,
-            "provenance": fam.provenance,
-            "verification": note,
-            **checked,
-            "out": ns.out_path,
-        }))
-    else:
-        print(f"q={fam.plane.q} sets={fam.n_sets} k={fam.k} "
-              f"verification={note} provenance={fam.provenance}")
+def _write_family(path: str, fam: LocalArcFamily) -> None:
+    _write_text(path, json.dumps(family_to_dict(fam), indent=1) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
+_Result = tuple[int, object, list[str]]  # exit code, JSON value, text lines
+
 
 def _seed_family(ns: argparse.Namespace, default) -> LocalArcFamily:
-    """The --seed-file family, else default(--p, --k or 2)."""
+    """The --seed-file family, else default(--p, --k), k = 2 if absent."""
     if ns.in_path:
         return family_from_dict(_load_json(ns.in_path))
     if ns.p is None:
         raise UsageError(f"{ns.method} needs --seed-file or --p")
-    return default(ns.p, ns.k or 2)
+    return default(ns.p, 2 if ns.k is None else ns.k)
 
 
-def _cmd_construct(ns: argparse.Namespace) -> int:
+def _cmd_construct(ns: argparse.Namespace) -> _Result:
     method = ns.method
-    branches = {}
+    branches, lines = {}, []
 
     if method == "oval":
         if ns.q is None or ns.k is None:
@@ -214,53 +207,46 @@ def _cmd_construct(ns: argparse.Namespace) -> int:
         if ns.q is None or ns.k is None:
             raise UsageError("best needs --q and --k")
         fam, report = best_construction(ns.q, ns.k)
-        if ns.fmt == "text":
-            for branch, outcome in report.items():
-                print(f"# {branch}: {outcome}")
+        lines = [f"# {branch}: {outcome}"
+                 for branch, outcome in report.items()]
         branches = {"branches": report}
 
     # every method builds with check=False: verification runs once, here
     note, checked = _apply_verification(fam, ns.verify_mode)
-    _emit_family(ns, fam, note, {**checked, **branches})
-    return EXIT_OK
+    if ns.out_path:
+        _write_family(ns.out_path, fam)
+    row = {"q": fam.plane.q, "num_sets": fam.n_sets, "k": fam.k,
+           "provenance": fam.provenance, "verification": note, **checked,
+           **branches, "out": ns.out_path}
+    lines.append(f"q={fam.plane.q} sets={fam.n_sets} k={fam.k} "
+                 f"verification={note} provenance={fam.provenance}")
+    return EXIT_OK, row, lines
 
 
-def _cmd_verify(ns: argparse.Namespace) -> int:
+def _cmd_verify(ns: argparse.Namespace) -> _Result:
     data = _load_json(ns.in_path)
     if "secants" in data and "r" in data:
         # integer seed: run the three-condition check
         seed = seed_from_dict(data)
         verdict = validate_generic(seed.sets, seed.secants, seed.r)
-        if ns.fmt == "json":
-            print(json.dumps({
-                "ok": verdict.ok, "cond_a": verdict.cond_a,
-                "cond_b": verdict.cond_b, "cond_c": verdict.cond_c,
-                "r_prime": verdict.r_prime,
-                "failures": list(verdict.failures)}))
-        else:
-            print(f"ok={verdict.ok} (a)={verdict.cond_a} "
-                  f"(b)={verdict.cond_b} (c)={verdict.cond_c} "
-                  f"r'={verdict.r_prime}")
-            for reason in verdict.failures:
-                print(f"rejected: {reason}")
-        return EXIT_OK if verdict.ok else EXIT_REJECTED
+        row = {"ok": verdict.ok, "cond_a": verdict.cond_a,
+               "cond_b": verdict.cond_b, "cond_c": verdict.cond_c,
+               "r_prime": verdict.r_prime,
+               "failures": list(verdict.failures)}
+        lines = [f"ok={verdict.ok} (a)={verdict.cond_a} "
+                 f"(b)={verdict.cond_b} (c)={verdict.cond_c} "
+                 f"r'={verdict.r_prime}"]
+        lines += [f"rejected: {reason}" for reason in verdict.failures]
+        return EXIT_OK if verdict.ok else EXIT_REJECTED, row, lines
     fam = family_from_dict(data)
-    try:
-        note, checked = _apply_verification(fam, ns.verify_mode)
-    except NotVerified as exc:
-        print(f"rejected: {exc}")
-        return EXIT_REJECTED
-    if ns.fmt == "json":
-        print(json.dumps({"ok": True, "q": fam.plane.q,
-                          "num_sets": fam.n_sets, "k": fam.k,
-                          "verification": note, **checked}))
-    else:
-        print(f"ok q={fam.plane.q} sets={fam.n_sets} k={fam.k} "
-              f"verification={note}")
-    return EXIT_OK
+    note, checked = _apply_verification(fam, ns.verify_mode)
+    row = {"ok": True, "q": fam.plane.q, "num_sets": fam.n_sets, "k": fam.k,
+           "verification": note, **checked}
+    return EXIT_OK, row, [f"ok q={fam.plane.q} sets={fam.n_sets} k={fam.k} "
+                          f"verification={note}"]
 
 
-def _cmd_bound(ns: argparse.Namespace) -> int:
+def _cmd_bound(ns: argparse.Namespace) -> _Result:
     triv = trivial_upper(ns.q)
     eml = eml_upper(ns.k, ns.q)
     fftc_sets = fftc_upper(ns.q).sets if ns.k == 4 else None
@@ -274,111 +260,75 @@ def _cmd_bound(ns: argparse.Namespace) -> int:
     }
     best = min(v for v in (fftc_sets, eml.sets) if v is not None)
     row["min_sets"] = best
-    if ns.fmt == "json":
-        print(json.dumps(row))
-    else:
-        cols = ["q", "k", "trivial_points", "fftc_sets", "eml_sets",
-                "eml_points", "min_sets"]
-        print("\t".join(cols))
-        print("\t".join("-" if row[c] is None else str(row[c])
-                        for c in cols))
-    return EXIT_OK
+    return EXIT_OK, row, ["\t".join(row),
+                          "\t".join("-" if v is None else str(v)
+                                    for v in row.values())]
 
 
-def _cmd_search(ns: argparse.Namespace) -> int:
+def _cmd_search(ns: argparse.Namespace) -> _Result:
     res = exact_max(ns.q, ns.k, budget=ns.budget, symmetry=ns.symmetry,
                     cap=ns.cap)
     if ns.certificate and res.certificate is not None:
-        _write_text(ns.certificate,
-                    json.dumps(family_to_dict(res.certificate),
-                               indent=1) + "\n")
-    if ns.fmt == "json":
-        print(json.dumps({
-            "q": ns.q, "k": ns.k, "found": res.num_sets,
-            "optimal": res.optimal, "nodes": res.nodes,
-            "cap": res.cap, "elapsed_seconds": round(res.elapsed, 3)}))
-    else:
-        print(f"q={ns.q} k={ns.k} found={res.num_sets} "
-              f"optimal={res.optimal} nodes={res.nodes} cap={res.cap} "
-              f"elapsed={res.elapsed:.3f}s")
-    return EXIT_OK
+        _write_family(ns.certificate, res.certificate)
+    row = {"q": ns.q, "k": ns.k, "found": res.num_sets,
+           "optimal": res.optimal, "nodes": res.nodes, "cap": res.cap,
+           "elapsed_seconds": round(res.elapsed, 3)}
+    return EXIT_OK, row, [
+        f"q={ns.q} k={ns.k} found={res.num_sets} optimal={res.optimal} "
+        f"nodes={res.nodes} cap={res.cap} elapsed={res.elapsed:.3f}s"]
 
 
-def _cmd_sdf(ns: argparse.Namespace) -> int:
+def _cmd_sdf(ns: argparse.Namespace) -> _Result:
     if ns.sdf_action == "verify":
         ok = is_sdf_mod(set(ns.elements), ns.modulus)
-        if ns.fmt == "json":
-            print(json.dumps({"modulus": ns.modulus, "ok": ok,
-                              "size": len(set(ns.elements))}))
-        else:
-            print(f"mod {ns.modulus}: "
-                  f"{'square-difference-free' if ok else 'rejected'}")
-        return EXIT_OK if ok else EXIT_REJECTED
+        row = {"modulus": ns.modulus, "ok": ok,
+               "size": len(set(ns.elements))}
+        verdict = "square-difference-free" if ok else "rejected"
+        return (EXIT_OK if ok else EXIT_REJECTED, row,
+                [f"mod {ns.modulus}: {verdict}"])
     if ns.sdf_action == "build":
-        subset = sorted(sdf_subset(ns.n, basis=ns.basis))
-        if ns.fmt == "json":
-            print(json.dumps({"n": ns.n, "size": len(subset),
-                              "elements": subset}))
-        else:
-            print(f"n={ns.n} size={len(subset)}")
-            print(",".join(map(str, subset)))
-        return EXIT_OK
-    size, witness = max_sdf_bruteforce(ns.n)  # max
-    if ns.fmt == "json":
-        print(json.dumps({"n": ns.n, "size": size,
-                          "elements": list(witness)}))
-    else:
-        print(f"n={ns.n} max={size}")
-        print(",".join(map(str, witness)))
-    return EXIT_OK
+        elements = sorted(sdf_subset(ns.n, basis=ns.basis))
+        size, label = len(elements), "size"
+    else:  # max
+        size, witness = max_sdf_bruteforce(ns.n)
+        elements, label = list(witness), "max"
+    row = {"n": ns.n, "size": size, "elements": elements}
+    return EXIT_OK, row, [f"n={ns.n} {label}={size}",
+                          ",".join(map(str, elements))]
 
 
-def _cmd_ilp_export(ns: argparse.Namespace) -> int:
+def _cmd_ilp_export(ns: argparse.Namespace) -> _Result:
     text = emit_ilp(ns.q, ns.k, ns.cap, fix_first=ns.fix_first)
     _, rows, binaries = parse_lp(text)
-    if ns.out_path:
-        _write_text(ns.out_path, text)
-        print(f"wrote {ns.out_path}: {len(binaries)} binary variables, "
-              f"{len(rows)} rows")
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    if not ns.out_path:
+        return EXIT_OK, None, text.splitlines()
+    _write_text(ns.out_path, text)
+    return EXIT_OK, None, [f"wrote {ns.out_path}: {len(binaries)} binary "
+                           f"variables, {len(rows)} rows"]
 
 
-def _cmd_lrc_params(ns: argparse.Namespace) -> int:
-    fam = family_from_dict(_load_json(ns.in_path))
-    try:
-        params = lrc_params(fam)
-    except NotVerified:
-        raise
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if ns.fmt == "json":
-        print(json.dumps({"n": params.n, "k": params.dim, "d": params.d,
-                          "r": params.locality, "q": params.q,
-                          "singleton_optimal": params.singleton_optimal}))
-    else:
-        print(f"n={params.n} k={params.dim} d={params.d} "
-              f"r={params.locality}")
-    return EXIT_OK
+def _cmd_lrc_params(ns: argparse.Namespace) -> _Result:
+    params = lrc_params(family_from_dict(_load_json(ns.in_path)))
+    row = {"n": params.n, "k": params.dim, "d": params.d,
+           "r": params.locality, "q": params.q,
+           "singleton_optimal": params.singleton_optimal}
+    return EXIT_OK, row, [f"n={params.n} k={params.dim} d={params.d} "
+                          f"r={params.locality}"]
 
 
-def _cmd_table(ns: argparse.Namespace) -> int:
+def _cmd_table(ns: argparse.Namespace) -> _Result:
     results = reproduce_table(ns.qs, ns.ks, budget=ns.budget)
-    if ns.fmt == "json":
-        print(json.dumps([{
-            "q": r.q, "k": r.k, "found": r.found, "optimal": r.optimal,
-            "reference": r.ref_value, "reference_exact": r.ref_exact,
-            "status": r.status, "nodes": r.nodes,
-            "elapsed_seconds": round(r.elapsed, 3)} for r in results]))
-    else:
-        print("q\tk\tfound\toptimal\treference\tstatus\tnodes\telapsed_s")
-        for r in results:
-            ref = str(r.ref_value) if r.ref_exact else f">={r.ref_value}"
-            print(f"{r.q}\t{r.k}\t{r.found}\t{int(r.optimal)}\t{ref}\t"
-                  f"{r.status}\t{r.nodes}\t{r.elapsed:.3f}")
-    bad = [r for r in results if r.status == "mismatch"]
-    return EXIT_REJECTED if bad else EXIT_OK
+    rows = [{"q": r.q, "k": r.k, "found": r.found, "optimal": r.optimal,
+             "reference": r.ref_value, "reference_exact": r.ref_exact,
+             "status": r.status, "nodes": r.nodes,
+             "elapsed_seconds": round(r.elapsed, 3)} for r in results]
+    lines = ["q\tk\tfound\toptimal\treference\tstatus\tnodes\telapsed_s"]
+    for r in results:
+        ref = str(r.ref_value) if r.ref_exact else f">={r.ref_value}"
+        lines.append(f"{r.q}\t{r.k}\t{r.found}\t{int(r.optimal)}\t{ref}\t"
+                     f"{r.status}\t{r.nodes}\t{r.elapsed:.3f}")
+    bad = any(r.status == "mismatch" for r in results)
+    return EXIT_REJECTED if bad else EXIT_OK, rows, lines
 
 
 # ---------------------------------------------------------------------------
@@ -504,13 +454,18 @@ def run(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     try:
         _prepare(ns)
-        return _DISPATCH[ns.subcommand](ns)
+        code, value, lines = _DISPATCH[ns.subcommand](ns)
     except NotVerified as exc:
         print(f"rejected: {exc}")
         return EXIT_REJECTED
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if getattr(ns, "fmt", "text") == "json":
+        print(json.dumps(value))
+    else:
+        print("\n".join(lines))
+    return code
 
 
 def main() -> None:

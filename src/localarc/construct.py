@@ -285,6 +285,8 @@ def conic_partition_seed(p: int, k: int = 2) -> LocalArcFamily:
     All points affine, all secants non-vertical: the shape the extension
     liftings need.
     """
+    if k < 2:
+        raise ValueError("set size k must be at least 2")
     plane = make_plane(make_field(p), "planar")
     pts = plane.conic()[:p]
     n = p // k
@@ -663,7 +665,7 @@ def best_construction(
             conic_partition_seed(p, k), m, check=False)))
 
     if not candidates:
-        raise RuntimeError(f"no construction applies at q = {q}, k = {k}")
+        raise ValueError(f"no construction applies at q = {q}, k = {k}")
     best = max(candidates, key=lambda f: f.n_sets)
     report["winner"] = best.provenance
     return best, report

@@ -10,7 +10,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from localarc import cli
@@ -638,3 +638,196 @@ def test_paper_scale_lift_is_rejected_exactly(capsys):
     assert code == EXIT_REJECTED
     assert capsys.readouterr().out == \
         "rejected: point (1,126075) repeats in sets [2, 1512901]\n"
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs of each format and outcome
+
+
+def test_verify_seed_json_format(capsys):
+    assert run(["verify", "--in", fixture_path("example_i_seed.json"),
+                "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "ok": True, "cond_a": True, "cond_b": True, "cond_c": True,
+        "r_prime": 8, "failures": []}
+
+
+_SEED_MOD_3_FAILURES = [
+    "(a) reduction is not a local arc",
+    "(b) integer lines do not reduce to the secants",
+    "(c) a mod-r incidence fails over the integers",
+]
+
+
+def test_verify_failing_seed_prints_each_rejection(tmp_path, capsys):
+    # reduced mod 3 instead of 5, the example-i seed fails all three
+    # conditions
+    seed = json.loads((resources.files("localarc") / "fixtures"
+                       / "example_i_seed.json").read_text())
+    seed["r"] = 3
+    path = tmp_path / "seed3.json"
+    path.write_text(json.dumps(seed))
+    assert run(["verify", "--in", str(path)]) == EXIT_REJECTED
+    assert capsys.readouterr().out == (
+        "ok=False (a)=False (b)=False (c)=False r'=8\n"
+        + "".join(f"rejected: {reason}\n" for reason in _SEED_MOD_3_FAILURES))
+    assert run(["verify", "--in", str(path),
+                "--format", "json"]) == EXIT_REJECTED
+    assert json.loads(capsys.readouterr().out) == {
+        "ok": False, "cond_a": False, "cond_b": False, "cond_c": False,
+        "r_prime": 8, "failures": _SEED_MOD_3_FAILURES}
+
+
+def test_sdf_verify_json_format(capsys):
+    elements = "0,2,8,14,77,79,85,96,103,109,111,181"
+    assert run(["sdf", "verify", "--elements", elements, "--mod", "205",
+                "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "modulus": 205, "ok": True, "size": 12}
+    assert run(["sdf", "verify", "--elements", "0,1,4", "--mod", "25",
+                "--format", "json"]) == EXIT_REJECTED
+    assert json.loads(capsys.readouterr().out) == {
+        "modulus": 25, "ok": False, "size": 3}
+
+
+def test_sdf_max_text(capsys):
+    assert run(["sdf", "max", "--n", "20"]) == EXIT_OK
+    assert capsys.readouterr().out == "n=20 max=8\n1,3,6,8,11,13,16,18\n"
+
+
+def _oval4_file(tmp_path) -> str:
+    from localarc.arcs import family_to_dict
+    from localarc.construct import oval_partition
+    path = tmp_path / "oval4.json"
+    path.write_text(json.dumps(family_to_dict(oval_partition(27, 4))))
+    return str(path)
+
+
+def test_lrc_params_json_format(tmp_path, capsys):
+    assert run(["lrc-params", "--in", _oval4_file(tmp_path),
+                "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "n": 28, "k": 18, "d": 6, "r": 3, "q": 27,
+        "singleton_optimal": True}
+
+
+def test_table_json_format(capsys):
+    assert run(["table", "--q", "2,3", "--format", "json"]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)
+    assert all(row.pop("elapsed_seconds") >= 0 for row in rows)
+    # (found, nodes) per cell; a k > 2 cell holds one set, found at once
+    cells = {(2, 2): (3, 4), (3, 2): (4, 6)}
+    expected = []
+    for q in (2, 3):
+        for k in (2, 3, 4):
+            found, nodes = cells.get((q, k), (1, 0))
+            expected.append({"q": q, "k": k, "found": found, "optimal": True,
+                             "reference": found, "reference_exact": True,
+                             "status": "exact-match", "nodes": nodes})
+    assert rows == expected
+
+
+def test_construct_case2_text(capsys):
+    assert run(["construct", "--method", "case2", "--p", "5",
+                "--t", "2"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "q=625 sets=250 k=2 verification=full "
+        "provenance=conic_seed(p=5,k=2)|case1(p=5)|case2(p=5,t=2)\n")
+
+
+_JSON_RUNS = [
+    ["construct", "--method", "best", "--q", "25", "--k", "2"],
+    ["verify", "--in", fixture_path("example_i.json")],
+    ["verify", "--in", fixture_path("example_ii_seed.json")],
+    ["bound", "--q", "7", "--k", "4"],
+    ["search", "--q", "4", "--k", "3"],
+    ["sdf", "verify", "--elements", "0,2,8,14,77,79,85,96,103,109,111,181",
+     "--mod", "205"],
+    ["sdf", "build", "--n", "50"],
+    ["sdf", "max", "--n", "20"],
+    ["lrc-params", "--in", "{oval4}"],
+    ["table", "--q", "2,3"],
+]
+
+
+def test_json_runs_cover_every_subcommand_with_a_format():
+    assert {argv[0] for argv in _JSON_RUNS} == set(cli._DISPATCH) - {
+        "ilp-export"}
+    assert {argv[1] for argv in _JSON_RUNS if argv[0] == "sdf"} == {
+        "verify", "build", "max"}
+
+
+@pytest.mark.parametrize("argv", _JSON_RUNS)
+def test_json_success_is_one_json_line(tmp_path, capsys, argv):
+    argv = [_oval4_file(tmp_path) if a == "{oval4}" else a for a in argv]
+    assert run(argv + ["--format", "json"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    json.loads(lines[0])
+
+
+# ---------------------------------------------------------------------------
+# inputs that once ended in a traceback
+
+
+_NO_BRANCH = "no construction applies at q = {}, k = {}"
+
+
+@pytest.mark.parametrize("argv,message", [
+    *[(["--method", "best", "--q", q, "--k", k], _NO_BRANCH.format(q, k))
+      for q, k in (("7", "0"), ("7", "1"), ("7", "30"), ("3", "5"))],
+    # an explicit --k 0 is not a missing --k
+    *[([*method, "--k", k], "set size k must be at least 2")
+      for method in (["--method", "case1", "--p", "5"],
+                     ["--method", "case2", "--p", "5", "--t", "2"],
+                     ["--method", "case3", "--p", "5", "--m", "3"])
+      for k in ("0", "1", "-1")],
+    *[(["--method", "best", "--q", q, "--k", k], _NO_BRANCH.format(q, k))
+      for q in ("9", "25", "27") for k in ("0", "1", "-1")],
+])
+def test_construct_refusals_are_usage_errors(argv, message, capsys):
+    assert run(["construct", *argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--method", "oval", "--q", "9", "--k", "2", "--out"],
+    ["search", "--q", "4", "--k", "3", "--certificate"],
+    ["ilp-export", "--q", "2", "--k", "2", "--cap", "1", "--out"],
+])
+def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out"
+    assert run(argv + [str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: cannot write {path}: ")
+
+
+@settings(deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(method=st.sampled_from(("oval", "generic", "best", "case1", "case2",
+                               "case3")),
+       p=st.integers(min_value=-2, max_value=7),
+       q=st.integers(min_value=-2, max_value=27),
+       k=st.integers(min_value=-2, max_value=30),
+       t=st.integers(min_value=-1, max_value=3),
+       m=st.integers(min_value=-1, max_value=5),
+       fmt=st.sampled_from(("text", "json")))
+@example(method="best", p=7, q=7, k=0, t=2, m=3, fmt="text")
+@example(method="best", p=3, q=9, k=0, t=2, m=3, fmt="json")
+def test_small_construct_inputs_never_crash(capsys, method, p, q, k, t, m,
+                                            fmt):
+    # each method reads only the flags it needs
+    code = run(["construct", "--method", method, "--p", str(p),
+                "--q", str(q), "--k", str(k), "--t", str(t), "--m", str(m),
+                "--format", fmt])
+    captured = capsys.readouterr()
+    if code == EXIT_REJECTED:
+        assert any(line.startswith("rejected: ")
+                   for line in captured.out.splitlines())
+    elif code == EXIT_USAGE:
+        assert captured.err.startswith("usage error: ")
+    else:
+        assert code == EXIT_OK

@@ -148,6 +148,20 @@ def test_conic_partition_seed_shape():
         assert all(lid < q * q for lid in secants_of(fam.plane, s))
 
 
+@pytest.mark.parametrize("p,k", [(3, 0), (5, -1), (5, 1), (7, 1)])
+def test_conic_partition_seed_refuses_k_below_2(p, k):
+    with pytest.raises(ValueError, match="set size k must be at least 2"):
+        conic_partition_seed(p, k)
+
+
+@pytest.mark.parametrize("q,k", [(7, 0), (7, 1), (7, 30), (3, 5), (9, 0),
+                                 (25, 1), (27, 0)])
+def test_best_construction_without_a_branch_is_a_value_error(q, k):
+    with pytest.raises(ValueError,
+                       match=f"no construction applies at q = {q}, k = {k}"):
+        best_construction(q, k)
+
+
 def test_column_pair_seed_every_odd_prime():
     for p in (3, 5, 7, 13):
         fam = column_pair_seed(p)
