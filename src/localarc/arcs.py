@@ -16,7 +16,10 @@ line).  Verification comes in three flavours:
 * sample_verify           -- deterministic spot check of sampled set pairs,
                              for families too large to verify exhaustively.
                              The pairs come from a counter-based stream
-                             computed a packed chunk at a time.  A
+                             computed a packed chunk at a time, cut into
+                             shards that forked children scan on the
+                             other CPUs; the report does not depend on
+                             the shard count.  A
                              translation family decides a pair from its
                              base: 2k·C(k, 2) multiplications once per
                              (si, sj, du), then, inline, two divmods per
@@ -40,7 +43,9 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import os
 import sys
+import threading
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -564,12 +569,14 @@ def _lanes() -> tuple[int, int, int]:
     return ones, low64, steps
 
 
-def _draw_pairs(seed: int, samples: int):
-    """The sample stream, one chunk of (draw 2t, draw 2t+1) pairs at a time.
+def _draw_pairs(seed: int, stop: int, start: int = 0):
+    """Pairs start to stop - 1 of the sample stream, one chunk of
+    (draw 2t, draw 2t+1) pairs at a time.
 
     Draw n is SplitMix64 (Steele, Lea and Flood, OOPSLA 2014) of
     seed + (n + 1)·γ mod 2^64, a counter-based stream: no state passes
-    from one draw to the next.  So a chunk of draws is computed at once
+    from one draw to the next, so the stream can start at any pair and
+    a range of it be drawn anywhere.  A chunk of draws is computed at once
     on one integer of 128-bit lanes, draw i of the chunk in lane i.  The
     lane inputs base + i·γ stay below 2^128, a 64-bit lane value times a
     64-bit constant does too, and masking each lane to its low 64 bits
@@ -580,10 +587,10 @@ def _draw_pairs(seed: int, samples: int):
     positions: a-draws at 0, 4, 8, ..., b-draws at 2, 6, 10, ...
     """
     ones, low64, steps = _lanes()
-    for start in range(0, samples, _CHUNK):
-        n = min(_CHUNK, samples - start)
+    for first in range(start, stop, _CHUNK):
+        n = min(_CHUNK, stop - first)
         low = low64 if n == _CHUNK else low64 & ((1 << 256 * n) - 1)
-        x = (steps + ((seed + (2 * start + 1) * _GAMMA) & _M64) * ones) & low
+        x = (steps + ((seed + (2 * first + 1) * _GAMMA) & _M64) * ones) & low
         x = ((x ^ (x >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
         x = ((x ^ (x >> 27)) & low) * 0x94D049BB133111EB & low
         x ^= x >> 31  # what it shifts into a lane's high word is not read
@@ -623,9 +630,15 @@ def _first_collinear(pts, sub, mul):
     return None
 
 
-# (si, sj, du) keys whose (every, bad) sample_verify keeps; past it they
+# (si, sj, du) keys whose (every, bad) _first_failure keeps; past it they
 # are recomputed on each use
 _BAD_DV_KEYS = 1 << 15
+# fewest samples a shard of the stream gets: a fork and pipe round trip
+# costs 1-2 ms, as much as 1,000-2,000 samples, and each child builds
+# its own _bad_dv cache
+_SHARD_MIN = 25_000
+# POSIX's number, so that the signal module and its enums are not imported
+_SIGKILL = 9
 
 
 def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> VerifyReport:
@@ -633,12 +646,27 @@ def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> Verify
 
     Pair t of the sample stream is derived from (seed, t) alone through a
     counter-based generator (_draw_pairs), so a verdict can be replayed or
-    continued on any machine regardless of scheduling.  Each sampled pair
+    continued on any machine regardless of scheduling.  The seed must lie
+    in [0, 2^64): the stream reads it mod 2^64, and two seeds that draw
+    the same pairs should not report different seeds.  Each sampled pair
     gets the full pairwise treatment: disjointness first, then a
     collinearity test of every point triple of the union in
     itertools.combinations order, so the first violation found, its line
     (the join of its first two points) and pairs_checked do not depend on
     how the test is computed.
+
+    The stream is split into contiguous shards of whole chunks, one per
+    CPU in the affinity mask but none under _SHARD_MIN samples, and only
+    where os.fork exists and no other thread runs.  The caller scans
+    shard 0 itself and forks a child per other shard, each pinned to its
+    own CPU of the mask (the caller gets its mask back at the end); a
+    child writes the index of its first pair that does not pass, or
+    "none", to a pipe and exits.  Shards are read in order, and the
+    first index found is re-run in process, so the report (and the
+    RuntimeError below) is built here and is the same at every shard
+    count.  A child that ends without an answer has its shard re-run in
+    process, and every child is killed and reaped before this returns
+    or raises.
 
     Each union point is mapped to its homogeneous triple once
     (Plane.coords).  A triple whose first point is affine is decided by
@@ -656,9 +684,9 @@ def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> Verify
     point of the other lies on a secant of it, so the pair violates
     (overlap or collinear triple) exactly when _bad_dv flags dv for
     (si, sj, du).  That costs 2k·C(k, 2) multiplications once per
-    (si, sj, du), cached for the first _BAD_DV_KEYS keys.  An accepted
-    sample then costs a share of one packed chunk of draws, two reductions
-    of its draws, four divmods decoding the set numbers as
+    (si, sj, du), cached for the first _BAD_DV_KEYS keys of a shard.  An
+    accepted sample then costs a share of one packed chunk of draws, two
+    reductions of its draws, four divmods decoding the set numbers as
     TranslationLayout.locate does, two field subtractions and one lookup,
     all inline.  Pairs it flags, and pairs with a base set of fewer than
     two distinct points or with three collinear points, take the
@@ -666,9 +694,110 @@ def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> Verify
     """
     if samples < 1:
         raise ValueError("at least one sample is required")
-    s = family.n_sets
-    if s < 2:
+    if not 0 <= seed <= _M64:
+        raise ValueError("the sample seed must lie in [0, 2**64)")
+    if family.n_sets < 2:
         return VerifyReport(True, "sample", 0, seed=seed)
+    (lo, hi, cpu), *rest = _shards(samples)
+    mask = os.sched_getaffinity(0) if rest else None
+    children = []
+    try:
+        if rest:
+            _pin(cpu)
+        for shard in rest:
+            children.append(_fork_shard(family, seed, *shard))
+        found = _first_failure(family, seed, lo, hi)
+        for (lo, hi, _), child in zip(rest, children):
+            if found is not None:
+                break
+            reply = _reply(child[1]) if child else b""
+            if reply == b"none":
+                continue
+            t = int(reply) if reply.isdigit() else -1
+            if lo <= t < hi:
+                found = _first_failure(family, seed, t, t + 1)
+            if found is None:  # no answer, or one the re-run does not bear out
+                found = _first_failure(family, seed, lo, hi)
+    finally:
+        for pid, fd in filter(None, children):
+            os.close(fd)
+            os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
+        if rest:
+            os.sched_setaffinity(0, mask)
+    if found is None:
+        return VerifyReport(True, "sample", samples, seed=seed)
+    t, pair, violation = found
+    if violation is None:
+        raise RuntimeError(f"sets {list(pair)} pass the sampled check that "
+                           f"the translation verdict rejected")
+    return VerifyReport(False, "sample", t + 1, violation, seed=seed)
+
+
+def _shards(samples: int) -> list[tuple[int, int, int | None]]:
+    """The sample stream cut into contiguous [lo, hi) ranges of whole
+    chunks, one per shard, each with a CPU of the affinity mask to scan
+    it on (None where the stream is not split)."""
+    cpus = [None]
+    if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1):
+        cpus = sorted(os.sched_getaffinity(0))[:max(1, samples // _SHARD_MIN)]
+    # no shard is empty: n <= samples // _SHARD_MIN, and _SHARD_MIN >= _CHUNK
+    chunks, n = -(-samples // _CHUNK), len(cpus)
+    cuts = [min(samples, chunks * i // n * _CHUNK) for i in range(n + 1)]
+    return list(zip(cuts, cuts[1:], cpus))
+
+
+def _pin(cpu: int) -> None:
+    """Run this process on one CPU only.  Linux may leave a forked child
+    on its parent's CPU while another CPU idles, so each shard gets its
+    own; where the CPU cannot be set, the scheduler places the process."""
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except OSError:
+        pass
+
+
+def _fork_shard(family: LocalArcFamily, seed: int, lo: int, hi: int,
+                cpu: int):
+    """(pid, read end of its pipe) of a child that scans pairs [lo, hi)
+    on the given CPU, writes the index of the first pair that does not
+    pass, or b"none", then exits; None when no child can be started."""
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        try:  # never print, never return into the caller's stack
+            os.close(r)
+            _pin(cpu)
+            found = _first_failure(family, seed, lo, hi)
+            os.write(w, b"none" if found is None else b"%d" % found[0])
+        finally:
+            os._exit(0)
+    os.close(w)
+    return pid, r
+
+
+def _reply(fd: int) -> bytes:
+    """Everything a child wrote to its pipe, once it has exited."""
+    parts = []
+    while part := os.read(fd, 64):
+        parts.append(part)
+    return b"".join(parts)
+
+
+def _first_failure(family: LocalArcFamily, seed: int, start: int, stop: int):
+    """(t, sorted set pair, violation) of the first pair t in [start, stop)
+    of the sample stream that does not pass, or None.  The violation is
+    None for a pair that _bad_dv flags but the full treatment passes."""
+    s = family.n_sets
     plane = family.plane
     f = plane.field
     sub, mul = f.sub, f.mul
@@ -683,8 +812,8 @@ def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> Verify
         cache: dict = {}
     s1 = s - 1
     flagged = False
-    pairs = itertools.chain.from_iterable(_draw_pairs(seed, samples))
-    for t, (a, b) in enumerate(pairs):
+    pairs = itertools.chain.from_iterable(_draw_pairs(seed, stop, start))
+    for t, (a, b) in enumerate(pairs, start):
         a %= s
         b %= s1
         if b >= a:
@@ -708,28 +837,21 @@ def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> Verify
                 if not (every or sub(vs[jv], vs[iv]) in bad):
                     continue
             flagged = known is not None
+        pair = tuple(sorted((a, b)))
         sa, sb = sets[a], sets[b]
         common = set(sa) & set(sb)
         if common:
-            return VerifyReport(
-                False, "sample", t + 1,
-                Violation("overlap", tuple(sorted((a, b))), tuple(sorted(common))),
-                seed=seed,
-            )
+            return t, pair, Violation("overlap", pair, tuple(sorted(common)))
         union = tuple(sa) + tuple(sb)
         hit = _first_collinear([coords(p) for p in union], sub, mul)
         if hit is not None:
             u, v, w = (union[i] for i in hit)
-            return VerifyReport(
-                False, "sample", t + 1,
-                Violation("collinear", tuple(sorted((a, b))),
-                          tuple(sorted((u, v, w))), line=plane.join(u, v)),
-                seed=seed,
-            )
+            return t, pair, Violation("collinear", pair,
+                                      tuple(sorted((u, v, w))),
+                                      line=plane.join(u, v))
         if flagged:
-            raise RuntimeError(f"sets {sorted((a, b))} pass the sampled "
-                               f"check that the translation verdict rejected")
-    return VerifyReport(True, "sample", samples, seed=seed)
+            return t, pair, None
+    return None
 
 
 # ---------------------------------------------------------------------------

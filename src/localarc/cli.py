@@ -97,6 +97,8 @@ def _parse_verify_mode(text: str, flag: str, plain: tuple[str, ...]):
         raise UsageError(f"{usage}: {exc}") from exc
     if samples < 1:
         raise UsageError(f"{flag} needs at least one sample")
+    if not 0 <= seed < 1 << 64:
+        raise UsageError(f"{flag} seed must lie in [0, 2**64)")
     return samples, seed
 
 

@@ -1,11 +1,15 @@
 import itertools
+import os
 import random
+import signal
+import threading
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import localarc.arcs as arcs_mod
 from localarc.arcs import (
     LocalArcFamily,
     NotAnArc,
@@ -729,3 +733,220 @@ def test_mixed_sizes_are_data_not_errors():
     fam = LocalArcFamily(P5, [(0, 6), (12,)])
     assert fam.k == 0 and fam.total_points == 3
     assert verify_local_arc(fam).ok
+
+
+# -- sample_verify split across processes ---------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_chunk_aligned_splits_of_the_stream_concatenate_to_it(seed):
+    samples = 4 * _CHUNK + 9
+    whole = list(itertools.chain.from_iterable(_draw_pairs(seed, samples)))
+    inner = range(_CHUNK, samples, _CHUNK)
+    for n in range(len(inner) + 1):
+        for cuts in itertools.combinations(inner, n):
+            bounds = (0, *cuts, samples)
+            pieces = [list(itertools.chain.from_iterable(
+                _draw_pairs(seed, hi, lo)))
+                for lo, hi in zip(bounds, bounds[1:])]
+            assert list(itertools.chain(*pieces)) == whole, cuts
+
+
+@pytest.fixture
+def force_shards(monkeypatch):
+    """force_shards(n, samples) makes sample_verify split `samples` into
+    n shards, as on n CPUs; this process's real CPU mask is restored
+    after the test."""
+    mask = os.sched_getaffinity(0)
+    monkeypatch.setattr(arcs_mod, "_SHARD_MIN", _CHUNK)
+
+    def force(n, samples):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n)))
+        assert len(arcs_mod._shards(samples)) == n
+
+    yield force
+    os.sched_setaffinity(0, mask)
+
+
+def test_shards_cover_the_stream_in_whole_chunks(monkeypatch):
+    for cpus in (1, 2, 3, 4):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, n=cpus: set(range(n)))
+        # none under _SHARD_MIN samples
+        assert len(arcs_mod._shards(2 * arcs_mod._SHARD_MIN - 1)) == 1
+        assert len(arcs_mod._shards(2 * arcs_mod._SHARD_MIN)) == min(cpus, 2)
+        monkeypatch.setattr(arcs_mod, "_SHARD_MIN", _CHUNK)
+        for samples in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK,
+                        10 * _CHUNK + 7):
+            shards = arcs_mod._shards(samples)
+            assert len(shards) == max(1, min(cpus, samples // _CHUNK))
+            los = [lo for lo, _, _ in shards]
+            assert los[0] == 0 and all(lo % _CHUNK == 0 for lo in los)
+            assert [hi for _, hi, _ in shards] == los[1:] + [samples]
+            assert all(lo < hi for lo, hi, _ in shards)
+            if len(shards) > 1:
+                cpus_used = [cpu for _, _, cpu in shards]
+                assert cpus_used == list(range(len(shards)))
+        monkeypatch.undo()
+    # one shard while another thread runs: fork would copy it half-way
+    monkeypatch.setattr(arcs_mod, "_SHARD_MIN", _CHUNK)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert [lo for lo, _, _ in arcs_mod._shards(4 * _CHUNK)] == [0]
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def pair_at(fam, seed, t):
+    """Set numbers (a, b) of pair t of the sample stream."""
+    a, b = next(itertools.chain.from_iterable(_draw_pairs(seed, t + 1, t)))
+    s = fam.n_sets
+    a, b = a % s, b % (s - 1)
+    return a, b + (b >= a)
+
+
+def planted_overlaps(fam, seed, ts):
+    """fam's sets as a list in which set b of each pair t in ts is a copy
+    of set a; in a local-arc family only those pairs then fail."""
+    sets = list(fam.sets)
+    for t in ts:
+        a, b = pair_at(fam, seed, t)
+        sets[b] = sets[a]
+    return LocalArcFamily(fam.plane, sets, fam.k)
+
+
+SHARD_SAMPLES = 4 * _CHUNK
+
+
+@pytest.fixture(scope="module")
+def case2_625():
+    return case2_lift(case1_lift(column_pair_seed(5)), 2)
+
+
+def test_sample_verify_is_the_same_at_every_shard_count(force_shards,
+                                                        case2_625):
+    fam, samples = case2_625, SHARD_SAMPLES
+    lift = lift_prime(generic_k_arc(2), BASIS_5, 1777)
+    lay = lift.translation
+    # family, seed, and the first failing pair (None: the family passes)
+    cases = {
+        "translation, accepted": (fam, 3, None),
+        "no layout, accepted": (
+            LocalArcFamily(fam.plane, fam.sets, fam.k), 3, None),
+        # planted overlaps, first in shard 0, only in the last shard, and
+        # in two shards that are both later than shard 0 at n = 4
+        "shard 0": (planted_overlaps(fam, 3, (100, 1800)), 3, 100),
+        "last shard only": (planted_overlaps(fam, 3, (1700,)), 3, 1700),
+        "two shards": (planted_overlaps(fam, 3, (700, 1900)), 3, 700),
+        # the 2-arc lift at p = 1777 with one v offset too many, decided
+        # through _bad_dv and named by the full treatment
+        "translation, rejected": (LocalArcFamily.translates(
+            lift.plane, TranslationLayout(lay.base, lay.us, lay.vs + (1767,))),
+            10, 1334),
+    }
+    for name, (case, seed, first) in cases.items():
+        expected = reference_sample_verify(case, samples, seed=seed)
+        assert expected.ok == (first is None), name
+        if first is not None:
+            assert expected.pairs_checked == first + 1, name
+        for n in (1, 2, 3, 4):
+            force_shards(n, samples)
+            rep = sample_verify(case, samples, seed=seed)
+            assert rep == expected, (name, n)
+            assert_no_children()
+
+
+class _Sets:
+    """A lazy sequence of sets that calls hook(i) before each lookup."""
+
+    def __init__(self, sets, hook):
+        self.sets, self.hook = sets, hook
+
+    def __len__(self):
+        return len(self.sets)
+
+    def __getitem__(self, i):
+        self.hook(i)
+        return self.sets[i]
+
+
+def no_such_set(i):
+    raise LookupError(f"set {i} is not there")
+
+
+def test_sample_verify_leaves_no_child_on_any_exit(force_shards, case2_625):
+    fam = case2_625
+    force_shards(3, SHARD_SAMPLES)
+    assert sample_verify(fam, SHARD_SAMPLES, seed=1).ok
+    assert_no_children()
+    bad = planted_overlaps(fam, 1, (1500,))
+    assert not sample_verify(bad, SHARD_SAMPLES, seed=1).ok
+    assert_no_children()
+    broken = LocalArcFamily(fam.plane, _Sets(fam.sets, no_such_set), fam.k)
+    with pytest.raises(LookupError, match="is not there"):
+        sample_verify(broken, SHARD_SAMPLES, seed=1)
+    assert_no_children()
+
+
+def test_sample_verify_gives_the_caller_its_cpu_mask_back(monkeypatch,
+                                                         case2_625):
+    # on the machine's own CPUs: the caller scans shard 0 pinned to one
+    # of them and is unpinned when the call returns or raises
+    mask = os.sched_getaffinity(0)
+    monkeypatch.setattr(arcs_mod, "_SHARD_MIN", _CHUNK)
+    assert len(arcs_mod._shards(SHARD_SAMPLES)) == min(len(mask), 4)
+    assert sample_verify(case2_625, SHARD_SAMPLES, seed=2).ok
+    assert os.sched_getaffinity(0) == mask
+    broken = LocalArcFamily(case2_625.plane,
+                            _Sets(case2_625.sets, no_such_set), 2)
+    with pytest.raises(LookupError, match="is not there"):
+        sample_verify(broken, SHARD_SAMPLES, seed=2)
+    assert os.sched_getaffinity(0) == mask
+    assert_no_children()
+
+
+def test_a_child_that_dies_has_its_shard_rerun_in_process(
+        force_shards, case2_625):
+    parent = os.getpid()
+    lookups = []
+
+    def die_in_a_child(i):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        lookups.append(i)
+
+    for ts in ((), (1800,), (600, 1300)):
+        plain = planted_overlaps(case2_625, 4, ts)
+        fam = LocalArcFamily(plain.plane, _Sets(plain.sets, die_in_a_child),
+                             plain.k)
+        expected = reference_sample_verify(plain, SHARD_SAMPLES, seed=4)
+        assert expected.ok == (not ts)
+        for n in (2, 4):
+            force_shards(n, SHARD_SAMPLES)
+            lookups.clear()
+            assert sample_verify(fam, SHARD_SAMPLES, seed=4) == expected
+            assert_no_children()
+            # this process looked up both sets of every pair up to the
+            # verdict: each dead child's shard ran here
+            assert len(lookups) == 2 * expected.pairs_checked, (ts, n)
+
+
+def test_sample_seeds_outside_the_stream_range_are_refused():
+    fam = LocalArcFamily(P5, column_pairs(P5))
+    for seed in (-1, 2**64, 2**64 + 3):
+        with pytest.raises(ValueError, match="seed"):
+            sample_verify(fam, 10, seed=seed)
+    # the two ends of the range draw different pairs and report themselves
+    for seed in (0, 2**64 - 1):
+        rep = sample_verify(fam, 10, seed=seed)
+        assert rep.ok and rep.seed == seed

@@ -563,6 +563,25 @@ def test_verify_mode_none_is_usage_error(capsys):
     assert captured.out == ""
 
 
+def test_sample_seeds_outside_the_stream_range_are_usage_errors(capsys):
+    # the stream reads the seed mod 2^64, so -1 and 2^64 - 1 (and 0 and
+    # 2^64) would draw the same pairs and report different seeds
+    oval = ["construct", "--method", "oval", "--q", "7", "--k", "3",
+            "--format", "json", "--verify"]
+    stored = ["verify", "--in", fixture_path("example_i.json"), "--mode"]
+    for seed in (-1, 2**64, 2**64 + 7):
+        for argv in (oval, stored):
+            assert run(argv + [f"sample:50:{seed}"]) == EXIT_USAGE, seed
+            captured = capsys.readouterr()
+            assert captured.err.startswith("usage error: ")
+            assert "seed" in captured.err and captured.out == ""
+    for seed in (0, 2**64 - 1):
+        assert run(oval + [f"sample:50:{seed}"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["pairs_checked"] == 50
+        assert run(stored + [f"sample:50:{seed}"]) == EXIT_OK
+        capsys.readouterr()
+
+
 @pytest.mark.parametrize("given", [["--M1", "8"], ["--M2", "6"]])
 def test_construct_case3_needs_both_or_neither_m(given, capsys):
     assert run(["construct", "--method", "case3", "--p", "23", "--m", "3",

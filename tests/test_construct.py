@@ -325,6 +325,44 @@ def test_case2_t3_count_is_p5():
     assert fam.plane.q == 3**6
 
 
+CASE2_T3 = ["construct", "--method", "case2", "--t", "3"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="case 2 at t = 3 is rejected for p = 5 and 7 (p = 3 verifies); "
+           "whether case2_lift's odd-t alphabets or the paper's count "
+           "p^{5(s-1)} per set is wrong is open")
+def test_case2_t3_p5_is_a_local_arc(capsys):
+    assert run([*CASE2_T3, "--p", "5"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("p, pair", [(5, (0, 2293)), (7, (0, 183313))])
+def test_case2_t3_exact_rejection_names_its_pair(p, pair):
+    # companion of the xfail above: the exact check names the same pair
+    # on every run
+    base = case1_lift(conic_partition_seed(p, 2), check=False)
+    report = verify_local_arc(case2_lift(base, 3, check=False))
+    assert report.mode == "translation" and not report.ok
+    assert report.violation.kind == "collinear"
+    assert report.violation.sets == pair
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_case2_t3_sampled_rejection_is_the_same_on_any_cpu_count(
+        cpus, monkeypatch, capsys):
+    mask = os.sched_getaffinity(0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    try:
+        assert run([*CASE2_T3, "--p", "5",
+                    "--verify", "sample:100000:0"]) == EXIT_REJECTED
+    finally:
+        os.sched_setaffinity(0, mask)
+    out = capsys.readouterr().out
+    assert out.startswith("rejected: line ")
+    assert out.endswith(" from sets [16923, 29898]\n")
+
+
 def test_case2_rejects_shallow_tower():
     s1 = case1_lift(column_pair_seed(5))
     with pytest.raises(NotTower):
