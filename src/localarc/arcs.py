@@ -657,16 +657,20 @@ def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> Verify
 
     The stream is split into contiguous shards of whole chunks, one per
     CPU in the affinity mask but none under _SHARD_MIN samples, and only
-    where os.fork exists and no other thread runs.  The caller scans
-    shard 0 itself and forks a child per other shard, each pinned to its
-    own CPU of the mask (the caller gets its mask back at the end); a
-    child writes the index of its first pair that does not pass, or
-    "none", to a pipe and exits.  Shards are read in order, and the
-    first index found is re-run in process, so the report (and the
+    where os.fork exists and no other thread runs.  The caller forks a
+    child per shard but the first, each pinned to its own CPU of the
+    mask (the caller gets its mask back at the end).  A child scans its
+    shard a chunk at a time from the top down and writes to a pipe, per
+    chunk, that it passed, or the index of its first pair that does not
+    pass, and then exits.  The caller scans the whole stream a chunk at
+    a time from the bottom up, skipping the chunks a child has reported
+    passed, and re-runs in process the pair a child reports failing,
+    then the rest of its chunk should that pair pass here.  So the
+    caller never waits on a child: a child on a busy CPU, or one that
+    dies, leaves its chunks to the caller, and the report (and the
     RuntimeError below) is built here and is the same at every shard
-    count.  A child that ends without an answer has its shard re-run in
-    process, and every child is killed and reaped before this returns
-    or raises.
+    count.  Every child is killed and reaped before this returns or
+    raises.
 
     Each union point is mapped to its homogeneous triple once
     (Plane.coords).  A triple whose first point is affine is decided by
@@ -684,7 +688,7 @@ def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> Verify
     point of the other lies on a secant of it, so the pair violates
     (overlap or collinear triple) exactly when _bad_dv flags dv for
     (si, sj, du).  That costs 2k·C(k, 2) multiplications once per
-    (si, sj, du), cached for the first _BAD_DV_KEYS keys of a shard.  An
+    (si, sj, du), cached for the first _BAD_DV_KEYS keys of a process.  An
     accepted sample then costs a share of one packed chunk of draws, two
     reductions of its draws, four divmods decoding the set numbers as
     TranslationLayout.locate does, two field subtractions and one lookup,
@@ -698,7 +702,7 @@ def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> Verify
         raise ValueError("the sample seed must lie in [0, 2**64)")
     if family.n_sets < 2:
         return VerifyReport(True, "sample", 0, seed=seed)
-    (lo, hi, cpu), *rest = _shards(samples)
+    (_, _, cpu), *rest = _shards(samples)
     mask = os.sched_getaffinity(0) if rest else None
     children = []
     try:
@@ -706,18 +710,8 @@ def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> Verify
             _pin(cpu)
         for shard in rest:
             children.append(_fork_shard(family, seed, *shard))
-        found = _first_failure(family, seed, lo, hi)
-        for (lo, hi, _), child in zip(rest, children):
-            if found is not None:
-                break
-            reply = _reply(child[1]) if child else b""
-            if reply == b"none":
-                continue
-            t = int(reply) if reply.isdigit() else -1
-            if lo <= t < hi:
-                found = _first_failure(family, seed, t, t + 1)
-            if found is None:  # no answer, or one the re-run does not bear out
-                found = _first_failure(family, seed, lo, hi)
+        found = _first_failure(family, seed, _unreported(
+            samples, [child[1] for child in children if child]))
     finally:
         for pid, fd in filter(None, children):
             os.close(fd)
@@ -760,9 +754,11 @@ def _pin(cpu: int) -> None:
 
 def _fork_shard(family: LocalArcFamily, seed: int, lo: int, hi: int,
                 cpu: int):
-    """(pid, read end of its pipe) of a child that scans pairs [lo, hi)
-    on the given CPU, writes the index of the first pair that does not
-    pass, or b"none", then exits; None when no child can be started."""
+    """(pid, non-blocking read end of its pipe) of a child that scans
+    pairs [lo, hi) on the given CPU a chunk at a time from the top down,
+    writes b"first -1\n" for each chunk starting at pair `first` that
+    passes, or b"first t\n" for the first pair t that does not pass and
+    stops there; None when no child can be started."""
     try:
         r, w = os.pipe()
     except OSError:
@@ -777,26 +773,63 @@ def _fork_shard(family: LocalArcFamily, seed: int, lo: int, hi: int,
         try:  # never print, never return into the caller's stack
             os.close(r)
             _pin(cpu)
-            found = _first_failure(family, seed, lo, hi)
-            os.write(w, b"none" if found is None else b"%d" % found[0])
+            found = _first_failure(family, seed, _reporting(w, lo, hi))
+            if found is not None:
+                t = found[0]
+                os.write(w, b"%d %d\n" % (t - t % _CHUNK, t))
         finally:
             os._exit(0)
     os.close(w)
+    os.set_blocking(r, False)
     return pid, r
 
 
-def _reply(fd: int) -> bytes:
-    """Everything a child wrote to its pipe, once it has exited."""
-    parts = []
-    while part := os.read(fd, 64):
-        parts.append(part)
-    return b"".join(parts)
+def _reporting(fd: int, lo: int, hi: int):
+    """The chunks of pairs [lo, hi) from the top down, as [first, stop)
+    ranges; each is reported passed to fd once the next is asked for."""
+    passed = None
+    for first in reversed(range(lo, hi, _CHUNK)):
+        if passed is not None:
+            os.write(fd, b"%d -1\n" % passed)
+        yield first, min(hi, first + _CHUNK)
+        passed = first
+    os.write(fd, b"%d -1\n" % passed)
 
 
-def _first_failure(family: LocalArcFamily, seed: int, start: int, stop: int):
-    """(t, sorted set pair, violation) of the first pair t in [start, stop)
-    of the sample stream that does not pass, or None.  The violation is
-    None for a pair that _bad_dv flags but the full treatment passes."""
+def _unreported(samples: int, fds: list[int]):
+    """The chunks of the stream from the bottom up, as [first, stop)
+    ranges, skipping those that the children writing to fds have
+    reported passed; a chunk reported failing at pair t gives (t, t + 1),
+    then, should that pair pass, the whole chunk.  The pipes are read,
+    without waiting, before each chunk."""
+    reports, tails = {}, dict.fromkeys(fds, b"")
+    for first in range(0, samples, _CHUNK):
+        for fd in list(tails):
+            try:
+                data = os.read(fd, 4096)
+            except BlockingIOError:
+                continue
+            if not data:  # the child has ended
+                del tails[fd]
+                continue
+            *lines, tails[fd] = (tails[fd] + data).split(b"\n")
+            for line in lines:
+                chunk, t = map(int, line.split())
+                reports[chunk] = t
+        stop = min(samples, first + _CHUNK)
+        t = reports.get(first)
+        if t == -1:
+            continue
+        if t is not None:
+            yield t, t + 1
+        yield first, stop
+
+
+def _first_failure(family: LocalArcFamily, seed: int, ranges):
+    """(t, sorted set pair, violation) of the first pair t of the sample
+    stream that does not pass, scanning the [start, stop) ranges in the
+    order given, or None.  The violation is None for a pair that _bad_dv
+    flags but the full treatment passes."""
     s = family.n_sets
     plane = family.plane
     f = plane.field
@@ -812,8 +845,11 @@ def _first_failure(family: LocalArcFamily, seed: int, start: int, stop: int):
         cache: dict = {}
     s1 = s - 1
     flagged = False
-    pairs = itertools.chain.from_iterable(_draw_pairs(seed, stop, start))
-    for t, (a, b) in enumerate(pairs, start):
+    pairs = itertools.chain.from_iterable(
+        enumerate(itertools.chain.from_iterable(
+            _draw_pairs(seed, stop, start)), start)
+        for start, stop in ranges)
+    for t, (a, b) in pairs:
         a %= s
         b %= s1
         if b >= a:

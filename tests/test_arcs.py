@@ -941,6 +941,81 @@ def test_a_child_that_dies_has_its_shard_rerun_in_process(
             assert len(lookups) == 2 * expected.pairs_checked, (ts, n)
 
 
+def test_a_child_reports_each_chunk_once_the_next_is_asked_for():
+    r, w = os.pipe()
+    hi = 3 * _CHUNK + 5
+    chunks = arcs_mod._reporting(w, _CHUNK, hi)
+    assert next(chunks) == (3 * _CHUNK, hi)
+    assert next(chunks) == (2 * _CHUNK, 3 * _CHUNK)
+    assert list(chunks) == [(_CHUNK, 2 * _CHUNK)]
+    os.close(w)
+    with os.fdopen(r, "rb") as fh:
+        assert fh.read() == b"%d -1\n%d -1\n%d -1\n" % (
+            3 * _CHUNK, 2 * _CHUNK, _CHUNK)
+
+
+def test_the_caller_scans_what_no_child_reported_passed():
+    samples = 5 * _CHUNK + 3
+    r, w = os.pipe()
+    os.set_blocking(r, False)
+    try:
+        # chunk 4 passed, chunk 2 fails at one of its pairs, chunk 3 has
+        # no report, and chunk 1's report is cut in two
+        os.write(w, b"%d -1\n%d %d\n%d" % (
+            4 * _CHUNK, 2 * _CHUNK, 2 * _CHUNK + 7, _CHUNK))
+        ranges = arcs_mod._unreported(samples, [r])
+        assert next(ranges) == (0, _CHUNK)
+        os.write(w, b" -1\n")
+        os.close(w)
+        assert list(ranges) == [
+            (2 * _CHUNK + 7, 2 * _CHUNK + 8), (2 * _CHUNK, 3 * _CHUNK),
+            (3 * _CHUNK, 4 * _CHUNK), (5 * _CHUNK, samples)]
+    finally:
+        os.close(r)
+
+
+def test_the_caller_leaves_the_chunks_children_passed(force_shards,
+                                                       monkeypatch,
+                                                       case2_625):
+    # the caller's first set lookup waits until every child has exited,
+    # so it then finds every child's report in the pipes
+    parent, pids, lookups = os.getpid(), [], []
+    fork_shard = arcs_mod._fork_shard
+
+    def recorded(*args):
+        child = fork_shard(*args)
+        pids.append(child[0])
+        return child
+
+    def wait_for_children(i):
+        if os.getpid() == parent:
+            if not lookups:
+                for pid in pids:
+                    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+            lookups.append(i)
+
+    monkeypatch.setattr(arcs_mod, "_fork_shard", recorded)
+    for n in (2, 3, 4):
+        force_shards(n, SHARD_SAMPLES)
+        shards = arcs_mod._shards(SHARD_SAMPLES)
+        first_hi, last_lo = shards[0][1], shards[-1][0]
+        # none, or one failure in the lowest chunk of the last shard,
+        # which its child reports after passing the chunks above it
+        for ts in ((), (last_lo + 76,)):
+            plain = planted_overlaps(case2_625, 5, ts)
+            fam = LocalArcFamily(plain.plane,
+                                 _Sets(plain.sets, wait_for_children), 2)
+            expected = reference_sample_verify(plain, SHARD_SAMPLES, seed=5)
+            assert expected.pairs_checked == (ts[0] + 1 if ts
+                                              else SHARD_SAMPLES)
+            pids.clear()
+            lookups.clear()
+            assert sample_verify(fam, SHARD_SAMPLES, seed=5) == expected
+            assert_no_children()
+            # shard 0, and the failing pair re-run here
+            assert len(lookups) == 2 * first_hi + 2 * len(ts), (n, ts)
+
+
 def test_sample_seeds_outside_the_stream_range_are_refused():
     fam = LocalArcFamily(P5, column_pairs(P5))
     for seed in (-1, 2**64, 2**64 + 3):
