@@ -45,12 +45,12 @@ import functools
 import itertools
 import os
 import sys
-import threading
 from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from localarc import cores
 from localarc.gf import make_field
 from localarc.plane import Plane
 
@@ -637,8 +637,6 @@ _BAD_DV_KEYS = 1 << 15
 # costs 1-2 ms, as much as 1,000-2,000 samples, and each child builds
 # its own _bad_dv cache
 _SHARD_MIN = 25_000
-# POSIX's number, so that the signal module and its enums are not imported
-_SIGKILL = 9
 
 
 def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> VerifyReport:
@@ -657,12 +655,12 @@ def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> Verify
 
     The stream is split into contiguous shards of whole chunks, one per
     CPU in the affinity mask but none under _SHARD_MIN samples, and only
-    where os.fork exists and no other thread runs.  The caller forks a
-    child per shard but the first, each pinned to its own CPU of the
-    mask (the caller gets its mask back at the end).  A child scans its
-    shard a chunk at a time from the top down and writes to a pipe, per
-    chunk, that it passed, or the index of its first pair that does not
-    pass, and then exits.  The caller scans the whole stream a chunk at
+    where os.fork exists and no other thread runs (cores.cpus).  The
+    caller forks a child per shard but the first, each pinned to its own
+    CPU of the mask (cores.Forks).  A child scans its shard a chunk at a
+    time from the top down and writes to a pipe, per chunk, that it
+    passed, or the index of its first pair that does not pass, and then
+    exits.  The caller scans the whole stream a chunk at
     a time from the bottom up, skipping the chunks a child has reported
     passed, and re-runs in process the pair a child reports failing,
     then the rest of its chunk should that pair pass here.  So the
@@ -687,14 +685,17 @@ def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> Verify
     of at least two distinct points, each point of one set that is a
     point of the other lies on a secant of it, so the pair violates
     (overlap or collinear triple) exactly when _bad_dv flags dv for
-    (si, sj, du).  That costs 2k·C(k, 2) multiplications once per
-    (si, sj, du), cached for the first _BAD_DV_KEYS keys of a process.  An
-    accepted sample then costs a share of one packed chunk of draws, two
-    reductions of its draws, four divmods decoding the set numbers as
-    TranslationLayout.locate does, two field subtractions and one lookup,
-    all inline.  Pairs it flags, and pairs with a base set of fewer than
-    two distinct points or with three collinear points, take the
-    treatment above, so the report is the same either way.
+    (si, sj, du), du being 0 without a field call when iu == ju.  That
+    costs 2k·C(k, 2) multiplications once per unordered (si, sj, ±du):
+    swapping the two sets negates du and every flagged dv, so each
+    _bad_dv result is cached for both orders, for the first _BAD_DV_KEYS
+    keys of a process.  An accepted sample then costs a share of one
+    packed chunk of draws, two reductions of its draws, four divmods
+    decoding the set numbers as TranslationLayout.locate does, two field
+    subtractions and one lookup, all inline.  Pairs it flags, and pairs
+    with a base set of fewer than two distinct points or with three
+    collinear points, take the treatment above, so the report is the same
+    either way.
     """
     if samples < 1:
         raise ValueError("at least one sample is required")
@@ -702,23 +703,12 @@ def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> Verify
         raise ValueError("the sample seed must lie in [0, 2**64)")
     if family.n_sets < 2:
         return VerifyReport(True, "sample", 0, seed=seed)
-    (_, _, cpu), *rest = _shards(samples)
-    mask = os.sched_getaffinity(0) if rest else None
-    children = []
-    try:
-        if rest:
-            _pin(cpu)
-        for shard in rest:
-            children.append(_fork_shard(family, seed, *shard))
+    shards = _shards(samples)
+    with cores.Forks([cpu for _, _, cpu in shards]) as kids:
+        for lo, hi, _ in shards[1:]:
+            _fork_shard(kids, family, seed, lo, hi)
         found = _first_failure(family, seed, _unreported(
-            samples, [child[1] for child in children if child]))
-    finally:
-        for pid, fd in filter(None, children):
-            os.close(fd)
-            os.kill(pid, _SIGKILL)
-            os.waitpid(pid, 0)
-        if rest:
-            os.sched_setaffinity(0, mask)
+            samples, [r for _, r, _ in kids.children]))
     if found is None:
         return VerifyReport(True, "sample", samples, seed=seed)
     t, pair, violation = found
@@ -732,56 +722,30 @@ def _shards(samples: int) -> list[tuple[int, int, int | None]]:
     """The sample stream cut into contiguous [lo, hi) ranges of whole
     chunks, one per shard, each with a CPU of the affinity mask to scan
     it on (None where the stream is not split)."""
-    cpus = [None]
-    if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and threading.active_count() == 1):
-        cpus = sorted(os.sched_getaffinity(0))[:max(1, samples // _SHARD_MIN)]
+    cpus = cores.cpus(samples // _SHARD_MIN)
     # no shard is empty: n <= samples // _SHARD_MIN, and _SHARD_MIN >= _CHUNK
     chunks, n = -(-samples // _CHUNK), len(cpus)
     cuts = [min(samples, chunks * i // n * _CHUNK) for i in range(n + 1)]
     return list(zip(cuts, cuts[1:], cpus))
 
 
-def _pin(cpu: int) -> None:
-    """Run this process on one CPU only.  Linux may leave a forked child
-    on its parent's CPU while another CPU idles, so each shard gets its
-    own; where the CPU cannot be set, the scheduler places the process."""
-    try:
-        os.sched_setaffinity(0, {cpu})
-    except OSError:
-        pass
-
-
-def _fork_shard(family: LocalArcFamily, seed: int, lo: int, hi: int,
-                cpu: int):
-    """(pid, non-blocking read end of its pipe) of a child that scans
-    pairs [lo, hi) on the given CPU a chunk at a time from the top down,
-    writes b"first -1\n" for each chunk starting at pair `first` that
-    passes, or b"first t\n" for the first pair t that does not pass and
-    stops there; None when no child can be started."""
-    try:
-        r, w = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
+def _fork_shard(kids: cores.Forks, family: LocalArcFamily, seed: int,
+                lo: int, hi: int):
+    """kids.fork() of a child that scans pairs [lo, hi) a chunk at a time
+    from the top down, writes b"first -1\n" for each chunk starting at
+    pair `first` that passes, or b"first t\n" for the first pair t that
+    does not pass and stops there."""
+    child = kids.fork()
+    if child is not None and child[0] == 0:
         try:  # never print, never return into the caller's stack
-            os.close(r)
-            _pin(cpu)
+            w = child[2]
             found = _first_failure(family, seed, _reporting(w, lo, hi))
             if found is not None:
                 t = found[0]
                 os.write(w, b"%d %d\n" % (t - t % _CHUNK, t))
         finally:
             os._exit(0)
-    os.close(w)
-    os.set_blocking(r, False)
-    return pid, r
+    return child
 
 
 def _reporting(fd: int, lo: int, hi: int):
@@ -833,7 +797,7 @@ def _first_failure(family: LocalArcFamily, seed: int, ranges):
     s = family.n_sets
     plane = family.plane
     f = plane.field
-    sub, mul = f.sub, f.mul
+    sub, mul, neg = f.sub, f.mul, f.neg
     coords = plane.coords
     sets = family.sets
     layout = family.translation
@@ -859,7 +823,7 @@ def _first_failure(family: LocalArcFamily, seed: int, ranges):
             iu, iv = divmod(ti, nv)
             tj, sj = divmod(b, nb)
             ju, jv = divmod(tj, nv)
-            d_u = sub(us[ju], us[iu])
+            d_u = sub(us[ju], us[iu]) if iu != ju else 0
             key = (si * nb + sj) * q + d_u
             known = cache.get(key)
             if known is None and secants[si] and secants[sj]:
@@ -868,6 +832,10 @@ def _first_failure(family: LocalArcFamily, seed: int, ranges):
                 known = every, tuple(bad)  # a few values: smaller than a set
                 if len(cache) < _BAD_DV_KEYS:
                     cache[key] = known
+                    # bad(sj, si, -du) = -bad(si, sj, du), and every is
+                    # symmetric, so one _bad_dv call serves both orders
+                    cache[(sj * nb + si) * q + neg(d_u)] = (
+                        every, tuple(map(neg, bad)))
             if known is not None:
                 every, bad = known
                 if not (every or sub(vs[jv], vs[iv]) in bad):

@@ -26,7 +26,8 @@ Three engines cover the size range:
   also what builds the exp tables and searches for generators; a tower
   field multiplies digit polynomials over GF(p^2) (_pmul, _pmod).  Both
   invert by extended Euclid over the scalar ring (_xgcd), and add, sub
-  and neg take one pass over the base-p digits.
+  and neg take one pass over the place values p^i, one floor division
+  of each operand per digit (for p = 2, add and sub are xor).
 
 The tables are built from the prime-subfield cosets of the head.  The
 _raw_mul chain makes only the head g^0 .. g^(N-1), N = (q-1)/(p-1).
@@ -348,34 +349,29 @@ class Field:
         self._raw_mul = mul
 
     def _digit_closures(self):
+        # digit i of a is a // w % p for the place value w = p^i, so
+        # (a // w ± b // w) % p is digit i of the sum or difference
         p = self.p
+        if p == 2:
+            return operator.xor, operator.xor, lambda a: a
+        places = tuple(p**i for i in range(1, self.m))
 
-        def dadd(a, b, _p=p):
-            out, shift = 0, 1
-            while a or b:
-                out += (a % _p + b % _p) % _p * shift
-                a //= _p
-                b //= _p
-                shift *= _p
+        def dadd(a, b, _p=p, _w=places):
+            out = (a + b) % _p
+            for w in _w:
+                out += (a // w + b // w) % _p * w
             return out
 
-        def dsub(a, b, _p=p):
-            out, shift = 0, 1
-            while a or b:
-                out += (a % _p - b % _p) % _p * shift
-                a //= _p
-                b //= _p
-                shift *= _p
+        def dsub(a, b, _p=p, _w=places):
+            out = (a - b) % _p
+            for w in _w:
+                out += (a // w - b // w) % _p * w
             return out
 
-        def dneg(a, _p=p):
-            out, shift = 0, 1
-            while a:
-                d = a % _p
-                if d:
-                    out += (_p - d) * shift
-                a //= _p
-                shift *= _p
+        def dneg(a, _p=p, _w=places):
+            out = -a % _p
+            for w in _w:
+                out += -(a // w) % _p * w
             return out
 
         return dadd, dsub, dneg

@@ -10,12 +10,13 @@ Two engines share the same model:
   may meet no other set, so its points go dead for good; and no line
   may carry three points of the union of two sets, so adding a point
   shuts, for the rest of its set, every line through it that already
-  holds a chosen point.  The search is deterministic, so node counts
-  are reproducible.  It takes q and k plus three optional keywords: a
-  budget in seconds (none by default), a symmetry mode (by default the
-  first set is pinned for k <= 4, the only k that allows it, and
-  nothing is pinned above) and a cap on the set count (by default the
-  second-moment bound).
+  holds a chosen point.  A long search splits its tree between the
+  caller and children forked onto the other CPUs; node counts and
+  certificates are the same at every CPU count.  It takes q and k plus
+  three optional keywords: a budget in seconds (none by default), a
+  symmetry mode (by default the first set is pinned for k <= 4, the
+  only k that allows it, and nothing is pinned above) and a cap on the
+  set count (by default the second-moment bound).
 
 * ``emit_ilp`` writes the equivalent 0/1 integer program in LP text
   format for an external solver, and ``check_certificate`` replays a
@@ -28,6 +29,7 @@ per-cell status, distinguishing exactly known cells from lower bounds.
 
 from __future__ import annotations
 
+import os
 import re
 import time
 from dataclasses import dataclass
@@ -35,6 +37,7 @@ from importlib import resources
 from itertools import combinations
 from typing import Iterator, Sequence
 
+from . import cores
 from .arcs import LocalArcFamily, NotVerified, verify_local_arc
 from .bounds import eml_upper
 from .plane import Plane, convert_point, make_plane
@@ -86,6 +89,15 @@ class SearchResult:
 
 class _Timeout(Exception):
     pass
+
+
+# a search splits its tree only once it has made this many nodes, about
+# 35 ms: a fork costs 1-2 ms, and the child copies the caller's pages as
+# either writes to them
+_FORK_NODES = 1 << 14
+# nodes a task holds on average at the depth the tree is split at: each
+# costs a report and its lookup, a few microseconds
+_TASK_NODES = 64
 
 
 def _greedy_arc(plane: Plane, k: int) -> list[int]:
@@ -141,6 +153,27 @@ def exact_max(
     "fix-first-arc" for k <= 4 and "none" above; asking for
     "fix-first-arc" with k > 4 is a ValueError, since pinning a larger
     first set can miss the optimum.
+
+    A search splits its tree across the CPUs of the affinity mask (see
+    cores.cpus) once it is _FORK_NODES nodes old.  A task is the open_set
+    call with a given tuple of completed sets, at the deepest depth whose
+    calls have so far averaged _TASK_NODES nodes; the walk meets tasks in
+    the lexicographic order of those tuples, and a subtree is a function
+    of its call and the incumbent on entry alone.  After the first task
+    that leaves the incumbent unchanged, the caller forks one child per
+    other CPU.  Child i owns the tasks whose point ids sum to i modulo
+    the process count (0: the caller).  It walks on from the fork and
+    explores each task it owns that the caller has not reached, from the
+    larger of its own incumbent and the caller's latest, which the caller
+    pipes down with its position; per task it pipes back the incumbent it
+    started from, its node count and whether it found a larger family.
+    The caller walks the whole tree and reads the reports without
+    waiting.  It adopts one, adding its nodes and skipping the subtree,
+    only when the child started from the caller's own incumbent and
+    found nothing larger; it explores every other task itself, so the
+    nodes, the certificate and the cap stop are the serial walk's, and a
+    slow or dead child costs only the tasks the caller explores.  Every
+    child is killed and reaped before this returns or raises.
     """
     if k < 2:
         raise ValueError("uniformity k must be at least 2")
@@ -237,12 +270,33 @@ def _dfs(
     best = nodes = 0
     stop = timed_out = False
 
+    # the split (see exact_max): tasks are the open_set calls with split
+    # sets done, a depth young() picks from the open_set calls that have
+    # ended, calls[m] of them at depth m holding inside[m] nodes
+    cpus = cores.cpus()
+    width = len(cpus)
+    split = -1
+    calls = [0] * cap
+    inside = [0] * cap
+    forked = False
+    # 0 in the caller; in a child, the remainder of the tasks it owns,
+    # the pipe ends it reads and writes, and the caller's latest
+    # incumbent and task
+    me = inbox = outbox = 0
+    heard = b""
+    caller_best, caller_at = 0, ()
+    # the caller's reports from the children: task key -> (incumbent on
+    # entry, nodes, improved), and the unread tail of each child's pipe
+    reports: dict[tuple[int, ...], tuple[int, int, int]] = {}
+    tails: dict[int, bytes] = {}
+
     def complete_set(cur: tuple[int, ...], used: int, dead: int,
                      done: tuple[tuple[int, ...], ...]) -> None:
         nonlocal best, best_sets, stop
         done += (cur,)
-        if len(done) > best:
-            best = len(done)
+        m = len(done)
+        if m > best:
+            best = m
             best_sets = [list(s) for s in done]
             if best >= cap:
                 stop = True
@@ -258,7 +312,10 @@ def _dfs(
                         secant[key] = lm
                         dead |= lm
                         break
-        open_set(cur[0] + 1, used, dead, done)
+        if m == split:
+            task(cur[0] + 1, used, dead, done)
+        else:
+            descend(cur[0] + 1, used, dead, done)
 
     def extend_set(lo: int, allowed: int, used: int, dead: int,
                    cur: tuple[int, ...],
@@ -334,19 +391,151 @@ def _dfs(
             if stop:
                 return
 
-    try:
-        line_mask = [sum(1 << p for p in plane.points_on(lid))
-                     for lid in clocked(range(plane.n_lines))]
-        star = [tuple(line_mask[lid] for lid in plane.lines_through(p))
-                for p in clocked(range(n))]
-        if symmetry == "fix-first-arc":
-            first = _greedy_arc(plane, k)
-            complete_set(tuple(first), sum(1 << p for p in first), 0, ())
-        else:
-            open_set(0, 0, 0, ())
-    except _Timeout:
-        timed_out = True
+    def young(lo: int, used: int, dead: int,
+              done: tuple[tuple[int, ...], ...]) -> None:
+        # open_set, counting the calls that end and the nodes they hold
+        # per depth; once the search is _FORK_NODES old, the split is
+        # the deepest depth whose calls average _TASK_NODES nodes
+        nonlocal descend, split
+        before = nodes
+        open_set(lo, used, dead, done)
+        m = len(done)
+        calls[m] += 1
+        inside[m] += nodes - before
+        if nodes >= _FORK_NODES and descend is young:
+            for d, c in enumerate(calls):
+                if c and inside[d] >= _TASK_NODES * c:
+                    split = d
+            if split >= 0:
+                descend = open_set
+
+    def task(lo: int, used: int, dead: int,
+             done: tuple[tuple[int, ...], ...]) -> None:
+        # an open_set call at the split depth, keyed by its sets in a row
+        # and owned by child sum(key) % width (0: the caller)
+        key = sum(done, ())
+        if me:
+            if sum(key) % width == me:
+                own_task(key, lo, used, dead, done)
+            return
+        entry = best
+        if forked and sum(key) % width and adopted(key):
+            return
+        open_set(lo, used, dead, done)
+        if not forked:
+            if best == entry and not stop:
+                fork()
+        elif best > entry:
+            tell(key)
+
+    def own_task(key: tuple[int, ...], lo: int, used: int, dead: int,
+                 done: tuple[tuple[int, ...], ...]) -> None:
+        # in a child: a task the caller has not reached, explored from the
+        # larger of the caller's incumbent and this child's, and reported
+        nonlocal best, caller_best, caller_at, heard
+        try:
+            heard += os.read(inbox, 65536)
+        except BlockingIOError:
+            pass
+        *said, heard = heard.split(b"\n")
+        if said:
+            caller_best, *at = map(int, said[-1].split())
+            caller_at = tuple(at)
+        if key <= caller_at:
+            return
+        best = max(best, caller_best)
+        entry, before = best, nodes
+        open_set(lo, used, dead, done)
+        os.write(outbox, b"%d %d %d %s\n" % (
+            entry, nodes - before, best > entry, _words(key)))
+
+    def adopted(key: tuple[int, ...]) -> bool:
+        # in the caller: takes a child's report on the task when the child
+        # explored it from the caller's incumbent and found nothing better,
+        # with the clock checks the serial walk makes in its subtree;
+        # otherwise tells the children that the caller explores it
+        nonlocal nodes
+        got = reports.pop(key, None)
+        if got is None and tails:
+            hear()
+            got = reports.pop(key, None)
+        if got is None or got[0] != best or got[2]:
+            tell(key)
+            return False
+        count = got[1]
+        if deadline is not None:
+            for mark in range((nodes | 2047) + 1, nodes + count + 1, 2048):
+                if time.monotonic() > deadline:
+                    nodes = mark
+                    raise _Timeout
+        nodes += count
+        return True
+
+    def fork() -> None:
+        # the child returns from the task the caller just finished and
+        # walks on from there, on the tasks it owns
+        nonlocal forked, me, inbox, outbox
+        forked = True
+        for _ in cpus[1:]:
+            mine = len(kids.children) + 1
+            child = kids.fork()
+            if child is None:
+                break
+            if not child[0]:
+                me, inbox, outbox = mine, child[1], child[2]
+                return
+        for _, r, _ in kids.children:
+            tails[r] = b""
+
+    def hear() -> None:
+        # the children's reports so far, read without waiting
+        for fd in list(tails):
+            try:
+                data = os.read(fd, 65536)
+            except BlockingIOError:
+                continue
+            if not data:  # the child has ended
+                del tails[fd]
+                continue
+            *lines, tails[fd] = (tails[fd] + data).split(b"\n")
+            for line in lines:
+                entry, count, up, *key = map(int, line.split())
+                reports[tuple(key)] = entry, count, up
+
+    def tell(key: tuple[int, ...]) -> None:
+        # the caller's incumbent and task, to every child; a message that
+        # does not fit a pipe is dropped, as the next one says more
+        said = b"%d %s\n" % (best, _words(key))
+        for _, _, w in kids.children:
+            try:
+                os.write(w, said)
+            except OSError:
+                pass
+
+    descend = young if width > 1 else open_set
+    with cores.Forks(cpus) as kids:
+        try:
+            line_mask = [sum(1 << p for p in plane.points_on(lid))
+                         for lid in clocked(range(plane.n_lines))]
+            star = [tuple(line_mask[lid] for lid in plane.lines_through(p))
+                    for p in clocked(range(n))]
+            if symmetry == "fix-first-arc":
+                first = _greedy_arc(plane, k)
+                complete_set(tuple(first), sum(1 << p for p in first), 0,
+                             ())
+            else:
+                open_set(0, 0, 0, ())
+        except _Timeout:
+            timed_out = True
+        finally:
+            if me:  # a child never returns into the caller's stack
+                os._exit(0)
     return best_sets, nodes, timed_out
+
+
+def _words(key: tuple[int, ...]) -> bytes:
+    """A task key as the text a pipe carries."""
+    return " ".join(map(str, key)).encode()
 
 
 # ---------------------------------------------------------------------------

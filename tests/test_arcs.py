@@ -752,23 +752,6 @@ def test_chunk_aligned_splits_of_the_stream_concatenate_to_it(seed):
             assert list(itertools.chain(*pieces)) == whole, cuts
 
 
-@pytest.fixture
-def force_shards(monkeypatch):
-    """force_shards(n, samples) makes sample_verify split `samples` into
-    n shards, as on n CPUs; this process's real CPU mask is restored
-    after the test."""
-    mask = os.sched_getaffinity(0)
-    monkeypatch.setattr(arcs_mod, "_SHARD_MIN", _CHUNK)
-
-    def force(n, samples):
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(n)))
-        assert len(arcs_mod._shards(samples)) == n
-
-    yield force
-    os.sched_setaffinity(0, mask)
-
-
 def test_shards_cover_the_stream_in_whole_chunks(monkeypatch):
     for cpus in (1, 2, 3, 4):
         monkeypatch.setattr(os, "sched_getaffinity",

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
+import textwrap
 import time
 
 import pytest
 
-from localarc import search
+from localarc import cores, search
 from localarc.arcs import LocalArcFamily, verify_local_arc
 from localarc.bounds import eml_upper
 from localarc.plane import Plane, make_plane
@@ -490,6 +493,204 @@ def test_bench_cells_match_reference(q, k, cap):
     symmetry = _default_symmetry(k)
     assert _dfs(plane, k, c, None, symmetry) == reference_dfs(
         plane, k, c, None, symmetry)
+
+
+# ---------------------------------------------------------------------------
+# the tree split between the caller and forked children
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the children forked in this process, as they come;
+    force_shards also splits small trees, whose tasks hold 16 nodes on
+    average or more."""
+    monkeypatch.setattr(search, "_TASK_NODES", 16)
+    pids = []
+    fork = cores.Forks.fork
+
+    def recorded(self):
+        child = fork(self)
+        if child is not None and child[0]:
+            pids.append(child[0])
+        return child
+
+    monkeypatch.setattr(cores.Forks, "fork", recorded)
+    return pids
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def outcome(res):
+    return (res.num_sets, res.nodes, res.optimal,
+            [tuple(s) for s in res.certificate.sets])
+
+
+# the bench cells that fork, two small cells, one of them without
+# symmetry, and (8, 4), whose tasks are the smallest
+SPLIT_CELLS = [(8, 3, None, None), (9, 4, None, None), (9, 3, 9, None),
+               (7, 3, None, None), (8, 4, None, None), (7, 3, None, "none")]
+
+
+def test_exact_max_is_the_same_at_every_cpu_count(force_shards, forked):
+    for q, k, cap, symmetry in SPLIT_CELLS:
+        got = {}
+        for n in (1, 2, 4):
+            force_shards(n)
+            forked.clear()
+            got[n] = outcome(exact_max(q, k, cap=cap, symmetry=symmetry))
+            assert len(forked) == n - 1, (q, k, cap, symmetry, n)
+            assert_no_children()
+        assert got[1] == got[2] == got[4], (q, k, cap, symmetry)
+        if symmetry is None and (q, k, cap) in BENCH_CELLS:
+            sets, nodes, family = BENCH_CELLS[(q, k, cap)]
+            assert got[1] == (sets, nodes, True, family)
+
+
+def test_a_task_a_child_improved_is_explored_by_the_caller(
+        force_shards, forked, monkeypatch):
+    # the caller sends the child nothing and, at its first read, waits for
+    # every report, so the child walks its tasks from the incumbent at
+    # the fork, and one of them beats it
+    force_shards(1)
+    serial = outcome(exact_max(7, 3))
+    parent, heard = os.getpid(), []
+    read, write = os.read, os.write
+
+    def read_all(fd, size):
+        if os.getpid() != parent:
+            return read(fd, size)
+        os.set_blocking(fd, True)
+        heard.append(b"".join(iter(lambda: read(fd, size), b"")))
+        return heard[-1]
+
+    def drop(fd, data):
+        return len(data) if os.getpid() == parent else write(fd, data)
+
+    monkeypatch.setattr(os, "read", read_all)
+    monkeypatch.setattr(os, "write", drop)
+    force_shards(2)
+    assert outcome(exact_max(7, 3)) == serial
+    assert len(forked) == 1
+    reports = [line.split() for line in b"".join(heard).splitlines()]
+    assert any(up == b"1" for _, _, up, *_ in reports)
+    assert any(up == b"0" for _, _, up, *_ in reports)
+
+
+def test_exact_max_is_serial_where_fork_fails(force_shards, forked,
+                                             monkeypatch):
+    force_shards(1)
+    serial = outcome(exact_max(8, 3))
+
+    def no_fork():
+        raise OSError("no more processes")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    force_shards(2)
+    assert outcome(exact_max(8, 3)) == serial
+    assert not forked
+
+
+def test_a_child_that_exits_at_once_leaves_its_tasks_to_the_caller(
+        force_shards, forked, monkeypatch):
+    force_shards(1)
+    serial = outcome(exact_max(9, 4))
+    recorded = cores.Forks.fork
+
+    def short_lived(self):
+        child = recorded(self)
+        if child is not None and not child[0]:
+            os._exit(0)
+        return child
+
+    monkeypatch.setattr(cores.Forks, "fork", short_lived)
+    for n in (2, 4):
+        force_shards(n)
+        forked.clear()
+        assert outcome(exact_max(9, 4)) == serial
+        assert len(forked) == n - 1
+        assert_no_children()
+
+
+def test_a_child_that_has_ended_does_not_kill_the_caller(tmp_path):
+    # a program may restore SIGPIPE's default action, which kills a
+    # process that writes to a pipe nobody reads; run apart, so that the
+    # test process survives a failure
+    script = tmp_path / "ended.py"
+    script.write_text(textwrap.dedent("""
+        import os, signal
+        from localarc import cores, search
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+        os.sched_getaffinity = lambda pid: {0, 1}
+        fork = cores.Forks.fork
+        def short_lived(self):
+            child = fork(self)
+            if child is not None and not child[0]:
+                os._exit(0)
+            return child
+        cores.Forks.fork = short_lived
+        print(search.exact_max(8, 3).nodes)
+    """))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, str(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "136547\n"), done.stderr
+
+
+def test_exact_max_leaves_no_child_on_any_exit(force_shards, forked):
+    force_shards(2)
+    assert exact_max(7, 3).optimal  # the tree is exhausted
+    assert exact_max(8, 3, cap=8).num_sets == 8  # the cap stops it
+    assert len(forked) == 2
+    assert_no_children()
+    start = time.monotonic()
+    res = exact_max(7, 4, symmetry="none", budget=0.5)
+    assert not res.optimal and time.monotonic() - start < 2
+    assert len(forked) == 3
+    assert_no_children()
+    start = time.monotonic()
+    assert not exact_max(211, 3, budget=1).optimal
+    assert time.monotonic() - start < 3
+
+
+def test_a_split_search_stops_at_the_serial_node(force_shards, forked,
+                                                 monkeypatch):
+    # the caller reads the clock where the serial walk would, inside the
+    # subtrees it takes from a child too
+    force_shards(2)
+    _compare_prefix(monkeypatch, 7, 4, "none", None, checks=7)
+    assert forked
+    assert_no_children()
+
+
+def test_exact_max_gives_the_caller_its_cpu_mask_back(force_shards, forked,
+                                                     monkeypatch):
+    # the caller runs on CPU 0 while split, and gets CPUs 0 and 1 back
+    # when the search returns and when it raises
+    force_shards(2)
+    parent, masks = os.getpid(), []
+    setaffinity = os.sched_setaffinity
+
+    def recorded(pid, cpus):
+        if os.getpid() == parent:
+            masks.append(set(cpus))
+        setaffinity(pid, cpus)
+
+    monkeypatch.setattr(os, "sched_setaffinity", recorded)
+    assert outcome(exact_max(8, 3))[:2] == (9, 136_547)
+    assert masks == [{0}, {0, 1}] and len(forked) == 1
+
+    def broken(key):
+        raise RuntimeError("no words")
+
+    monkeypatch.setattr(search, "_words", broken)
+    masks.clear()
+    with pytest.raises(RuntimeError, match="no words"):
+        exact_max(8, 3)
+    assert masks == [{0}, {0, 1}] and len(forked) == 2
+    assert_no_children()
 
 
 # ---------------------------------------------------------------------------
