@@ -40,15 +40,13 @@ uniformity say so.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import os
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from localarc import cores
 from localarc.gf import make_field
@@ -90,8 +88,7 @@ class NotVerified(ValueError):
     """The operation needs a family that passes verification."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str  # "overlap" | "duplicate" | "collinear"
     sets: tuple[int, ...]
     points: tuple[int, ...]
@@ -108,8 +105,7 @@ class Violation:
         return f"point {pts} repeats in {where} {list(self.sets)}"
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     ok: bool
     mode: str
     pairs_checked: int
@@ -144,7 +140,6 @@ def secants_of(plane: Plane, points) -> tuple[int, ...]:
     return tuple(sorted(seen))
 
 
-@dataclass(frozen=True)
 class TranslationLayout:
     """A planar family listed as every translate of a base in AG(2, q).
 
@@ -152,12 +147,17 @@ class TranslationLayout:
     moved by (us[iu], vs[iv]): translation-major, u before v.  ``base``
     holds affine (x, y) coordinates and ``us`` and ``vs`` the offsets, all
     as field encodings of the family's plane; an offset listed twice lists
-    every set twice.
+    every set twice.  Not a NamedTuple: its len() and index() would clash
+    with a tuple's.
     """
 
-    base: tuple[tuple[tuple[int, int], ...], ...]
-    us: tuple[int, ...]
-    vs: tuple[int, ...]
+    __slots__ = ("base", "us", "vs")
+
+    def __init__(self, base: tuple[tuple[tuple[int, int], ...], ...],
+                 us: tuple[int, ...], vs: tuple[int, ...]):
+        self.base = base
+        self.us = us
+        self.vs = vs
 
     def __len__(self) -> int:
         return len(self.base) * len(self.us) * len(self.vs)
@@ -512,7 +512,7 @@ def _named_violation(family: LocalArcFamily, named: list[int]) -> Violation:
     if bad is None:
         raise RuntimeError(f"sets {named} pass the sweep that the "
                            f"translation verdict rejected")
-    return dataclasses.replace(bad, sets=tuple(named[s] for s in bad.sets))
+    return bad._replace(sets=tuple(named[s] for s in bad.sets))
 
 
 def verify_local_arc_oracle(family: LocalArcFamily, limit: int = 10_000) -> VerifyReport:
@@ -932,8 +932,7 @@ def reduce_uniformity(family: LocalArcFamily):
     return out
 
 
-@dataclass(frozen=True)
-class LRCParams:
+class LRCParams(NamedTuple):
     n: int
     dim: int
     d: int

@@ -10,8 +10,8 @@ points = k * sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from localarc.gf import factor_prime_power
 
@@ -57,8 +57,7 @@ def prime_powers(limit: int):
     return [n for n in range(2, limit + 1) if is_prime_power(n)]
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class _BoundFields(NamedTuple):
     formula: str
     q: int
     points: int | None = None
@@ -67,11 +66,24 @@ class BoundReport:
     t: int | None = None
     exact: Fraction | None = None
 
-    def __post_init__(self):
+
+class BoundReport(_BoundFields):
+    """A bound's value; points = k * sets wherever all three are given."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.points is not None and self.sets is not None and self.k:
             if self.points != self.k * self.sets:
                 raise ValueError(f"{self.points} points are not k = {self.k} "
                                  f"per set over {self.sets} sets")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: check its result too
+        return cls(*iterable)
 
 
 def _require_prime_power(q: int):
@@ -151,8 +163,7 @@ def lower_exponent(m: int) -> float:
     return 1.25 - 0.7666 / m
 
 
-@dataclass(frozen=True)
-class BoundComparison:
+class BoundComparison(NamedTuple):
     k: int
     q_max: int
     rows: tuple[tuple[int, int, int, bool], ...]  # (q, fftc pts, eml pts, eml strictly below)

@@ -320,6 +320,11 @@ def _cmd_lrc_params(ns: argparse.Namespace) -> _Result:
 
 def _cmd_table(ns: argparse.Namespace) -> _Result:
     results = reproduce_table(ns.qs, ns.ks, budget=ns.budget)
+    if not results:
+        picked = " ".join(f"{flag} {','.join(map(str, values))}"
+                          for flag, values in (("--q", ns.qs), ("--k", ns.ks))
+                          if values is not None)
+        raise UsageError(f"{picked} names no reference cell")
     rows = [{"q": r.q, "k": r.k, "found": r.found, "optimal": r.optimal,
              "reference": r.ref_value, "reference_exact": r.ref_exact,
              "status": r.status, "nodes": r.nodes,

@@ -29,7 +29,7 @@ given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from localarc.arcs import (
     LocalArcFamily,
@@ -101,8 +101,7 @@ class PTooSmall(ValueError):
 # ---------------------------------------------------------------------------
 # generic integer seeds
 
-@dataclass(frozen=True)
-class GenericSeed:
+class GenericSeed(NamedTuple):
     """Integer point sets with their integer secant data.
 
     Valid seeds reduce to a k-uniform local arc modulo r and, by the
@@ -132,8 +131,7 @@ def _reduce_mod(sets, r: int) -> tuple[tuple[int, ...], ...]:
                  for s in sets)
 
 
-@dataclass(frozen=True)
-class GenericVerdict:
+class GenericVerdict(NamedTuple):
     ok: bool
     cond_a: bool
     cond_b: bool
@@ -375,8 +373,7 @@ def _affine_coords(fam: LocalArcFamily) -> tuple[tuple[tuple[int, int], ...], ..
 # ---------------------------------------------------------------------------
 # the prime-field digit lifting
 
-@dataclass(frozen=True)
-class LiftParams:
+class LiftParams(NamedTuple):
     """Shape of the digit lifting for a seed prime r, basis (m, A), p."""
 
     basis: SdfBasis

@@ -11,7 +11,7 @@ hold everything against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from localarc.arcs import TooLarge
 
@@ -75,21 +75,33 @@ def is_sdf_int(A) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SdfBasis:
+class _BasisFields(NamedTuple):
     m: int
     A: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.m < 2:
+
+class SdfBasis(_BasisFields):
+    """Digit base m with an alphabet A that is SDF mod m, held sorted and
+    without repeats."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, A):
+        if m < 2:
             raise InvalidBasis("modulus must be at least 2")
-        object.__setattr__(self, "A", tuple(sorted(set(self.A))))
-        if not self.A:
+        A = tuple(sorted(set(A)))
+        if not A:
             raise InvalidBasis("alphabet is empty")
-        if not (0 <= self.A[0] and self.A[-1] < self.m):
-            raise InvalidBasis(f"alphabet must lie in [0, {self.m})")
-        if not is_sdf_mod(self.A, self.m):
-            raise InvalidBasis(f"alphabet is not SDF mod {self.m}")
+        if not (0 <= A[0] and A[-1] < m):
+            raise InvalidBasis(f"alphabet must lie in [0, {m})")
+        if not is_sdf_mod(A, m):
+            raise InvalidBasis(f"alphabet is not SDF mod {m}")
+        return super().__new__(cls, m, A)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: check its result too
+        return cls(*iterable)
 
 
 A205 = (0, 2, 8, 14, 77, 79, 85, 96, 103, 109, 111, 181)

@@ -32,10 +32,9 @@ from __future__ import annotations
 import os
 import re
 import time
-from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import cores
 from .arcs import LocalArcFamily, NotVerified, verify_local_arc
@@ -77,8 +76,7 @@ def _check_fix_first(k: int) -> None:
                          f"k <= {_FIX_FIRST_MAX_K}, not k = {k}")
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     num_sets: int
     certificate: LocalArcFamily | None
     optimal: bool
@@ -626,12 +624,13 @@ def emit_ilp(q: int, k: int, cap: int | None = None, *,
     return "\n".join(out) + "\n"
 
 
-_TERM_RE = re.compile(r"([+-])?\s*(\d+)?\s*([A-Za-z]\w*)")
+# compiled on first use, through re's cache, not at import
+_TERM = r"([+-])?\s*(\d+)?\s*([A-Za-z]\w*)"
 
 
 def _parse_terms(expr: str) -> dict[str, int]:
     coeffs: dict[str, int] = {}
-    for sign, mag, name in _TERM_RE.findall(expr):
+    for sign, mag, name in re.findall(_TERM, expr):
         c = int(mag) if mag else 1
         if sign == "-":
             c = -c
@@ -688,8 +687,7 @@ def parse_lp(text: str) -> tuple[
     return objective, rows, binaries
 
 
-@dataclass(frozen=True)
-class CertificateCheck:
+class CertificateCheck(NamedTuple):
     ok: bool
     objective: int
     failures: tuple[str, ...]
@@ -750,8 +748,7 @@ def check_certificate(family: LocalArcFamily, cap: int | None = None,
 # reference table
 
 
-@dataclass(frozen=True)
-class CellResult:
+class CellResult(NamedTuple):
     q: int
     k: int
     found: int

@@ -471,6 +471,19 @@ def test_table_small(capsys):
     assert all("exact-match" in ln for ln in lines[1:])
 
 
+@pytest.mark.parametrize("argv, picked", [
+    (["--q", "3", "--k", "9"], "--q 3 --k 9"),
+    (["--q", "99"], "--q 99"),
+    (["--k", "1,40"], "--k 1,40"),
+])
+def test_table_selection_without_a_cell_is_a_usage_error(argv, picked,
+                                                          capsys):
+    assert run(["table", *argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {picked} names no reference cell\n"
+    assert captured.out == ""
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         run(["bound", "--q", "7"])  # missing --k
@@ -783,6 +796,26 @@ def test_json_success_is_one_json_line(tmp_path, capsys, argv):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
     json.loads(lines[0])
+
+
+def _plain_json(value) -> bool:
+    if isinstance(value, dict):
+        return all(type(k) is str and _plain_json(v)
+                   for k, v in value.items())
+    if type(value) in (list, tuple):
+        return all(_plain_json(v) for v in value)
+    return type(value) in (str, int, float, bool, type(None))
+
+
+@pytest.mark.parametrize("argv", _JSON_RUNS)
+def test_json_values_hold_no_record(tmp_path, argv):
+    # json.dumps writes a NamedTuple record as a bare list, without its
+    # field names and without an error
+    argv = [_oval4_file(tmp_path) if a == "{oval4}" else a for a in argv]
+    ns = cli._build_parser().parse_args(argv + ["--format", "json"])
+    cli._prepare(ns)
+    code, value, _ = cli._DISPATCH[ns.subcommand](ns)
+    assert code == EXIT_OK and _plain_json(value)
 
 
 # ---------------------------------------------------------------------------

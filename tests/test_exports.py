@@ -1,11 +1,16 @@
 """Every exported name resolves: no module's __all__ and no import in the
 package's __init__ names something that is gone.  No module asserts:
 python -O strips assert statements, so no result may rest on one.  Every
-import sits at module level, where a reader of the header sees it."""
+import sits at module level, where a reader of the header sees it, and
+the CLI's imports stay free of the costly standard modules it has no use
+for."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +62,21 @@ def test_imports_are_module_level(path):
              if isinstance(node, (ast.Import, ast.ImportFrom))
              and id(node) not in top]
     assert not lines
+
+
+# dataclasses (and the inspect it imports) generates code for each class
+# it makes; cores forks by hand, so no process pool and no pickling
+UNUSED_AT_START = ("dataclasses", "inspect", "multiprocessing",
+                   "concurrent.futures", "pickle")
+
+
+def test_cli_import_leaves_unused_modules_unloaded():
+    code = ("import sys; before = set(sys.modules); import localarc.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(localarc.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    loaded = [name for name in out.split() for unused in UNUSED_AT_START
+              if name == unused or name.startswith(unused + ".")]
+    assert "localarc.cli" in out.split() and not loaded
