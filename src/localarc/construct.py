@@ -477,11 +477,20 @@ def case1_lift(seed: LocalArcFamily, check: bool = True) -> LocalArcFamily:
 def case2_lift(seed: LocalArcFamily, t: int, check: bool = True) -> LocalArcFamily:
     """GF(p^2) -> GF(p^{2t}) in the tower presentation.
 
-    Translations are (f(alpha), g(alpha)) with alpha a primitive element:
-    f has coefficients in GF(p^2) at indices 1..s-1, s = floor((t+1)/2);
-    g has GF(p^2) coefficients at odd indices 1..t-1 and alpha*GF(p)
-    coefficients at even ones.  Count: p^{5(s-1)} per set for odd t,
-    p^{5s-3} for even t.
+    Translations are (f(alpha), g(alpha)) with alpha a primitive element
+    of GF(p^{2t}): f has coefficients in GF(p^2) at indices 1..s-1,
+    s = floor((t+1)/2); g has GF(p^2) coefficients at odd indices 1..t-1
+    and w*GF(p) coefficients at even ones, w the primitive element of
+    GF(p^2), a constant of the tower.  Count: p^{5(s-1)} per set for
+    odd t, p^{5s-3} for even t.
+
+    The even places need w to be a non-square of GF(p^2), which a
+    primitive element is.  This rule is measured, not taken from the
+    paper: at t = 3 and p = 3, 5 and 7, the exact check accepts the
+    case-1 lift of a conic seed, lifted by case 2, for each of the p + 1
+    lines w*GF(p) whose w is a non-square and rejects it for each whose
+    w is a square; the tower's own alpha in place of w is rejected at
+    (p, t) = (5, 3), (7, 3), (3, 4) and (3, 5).  t = 2 has no even place.
     """
     if t < 2:
         raise NotTower(f"tower degree 2t needs t >= 2, got t = {t}")
@@ -497,10 +506,9 @@ def case2_lift(seed: LocalArcFamily, t: int, check: bool = True) -> LocalArcFami
     p2 = p * p
 
     f_vals = _poly_values(tw, alpha, [(i, range(p2)) for i in range(1, s)])
-    alpha_fp = sorted(tw.mul(alpha, c) for c in range(p))
-    g_alphabets = [
-        (i, range(p2) if i % 2 else alpha_fp) for i in range(1, t)
-    ]
+    w = tw.base.generator_enc()
+    w_fp = sorted(tw.mul(w, c) for c in range(p))
+    g_alphabets = [(i, range(p2) if i % 2 else w_fp) for i in range(1, t)]
     g_vals = _poly_values(tw, alpha, g_alphabets)
     expected = seed.n_sets * (p ** (5 * (s - 1)) if t % 2 else p ** (5 * s - 3))
     note = (seed.provenance + "|" if seed.provenance else "") + f"case2(p={p},t={t})"

@@ -90,8 +90,8 @@ class _Timeout(Exception):
 
 
 # a search splits its tree only once it has made this many nodes, about
-# 35 ms: a fork costs 1-2 ms, and the child copies the caller's pages as
-# either writes to them
+# 15 ms at the 1.1 M nodes/s of one core on the bench cells: a fork costs
+# 1-2 ms, and the child copies the caller's pages as either writes to them
 _FORK_NODES = 1 << 14
 # nodes a task holds on average at the depth the tree is split at: each
 # costs a report and its lookup, a few microseconds
@@ -243,11 +243,20 @@ def _dfs(
     ascending order.  A secant of a completed set lies in dead already,
     so shutting it too changes nothing.  The point that completes a set
     shuts nothing; instead every line through two of the set's points
-    goes dead, read from a cache of the pairs met so far.  A set's last
-    point is walked in the loop of its second-to-last one, and no call
-    is made for a point that leaves its set no candidate, so neither
-    counts a node nor reads the clock.  A new set starts only while the
-    free points from its first point on could still beat the incumbent.
+    goes dead.  A set's last point is walked in the loop of its
+    second-to-last one p: a candidate e > p is taken unless the line
+    through p and e meets used, and no call is made for a point that
+    leaves its set no candidate, so neither counts a node nor reads the
+    clock.  A new set starts only while the free points from its first
+    point on could still beat the incumbent.
+
+    "The line through a and b" is read from a pair table: row a holds,
+    for each b > a, the index in star[a] of that line (see _pair_row).
+    A row is built on its point's first use, without reading the clock,
+    from the point lists of the lines through it, which set-up keeps.
+    So the table takes at most n(n - 1)/2 entries of one byte each (two
+    above q = 255), and the lists it is built from n(q + 1) references
+    to point ids and as many to lines.
     """
     n = plane.n_points
 
@@ -262,8 +271,11 @@ def _dfs(
     # candidates for a set's next point leave room for the rest of it;
     # room[1] holds every point
     room = [(1 << (n - need + 1)) - 1 for need in range(k + 1)]
-    # the secant of points a < b, keyed a * n + b, for the pairs met
-    secant: dict[int, int] = {}
+    # the pair table's rows, by point, and what set-up keeps to build
+    # them: pencil[p] lists the lines through p, in star[p]'s order, each
+    # as the tuple of its point ids
+    rows: list[bytearray | memoryview | None] = [None] * n
+    pencil: list[tuple[tuple[int, ...], ...]] = []
     best_sets: list[list[int]] = []
     best = nodes = 0
     stop = timed_out = False
@@ -301,15 +313,7 @@ def _dfs(
                 return
         # the line through two points of the set is a secant of it
         for a, b in combinations(cur, 2):
-            key = a * n + b
-            try:
-                dead |= secant[key]
-            except KeyError:
-                for lm in star[a]:
-                    if lm >> b & 1:
-                        secant[key] = lm
-                        dead |= lm
-                        break
+            dead |= star[a][(rows[a] or pair_row(a))[b - a - 1]]
         if m == split:
             task(cur[0] + 1, used, dead, done)
         else:
@@ -331,23 +335,26 @@ def _dfs(
                 raise _Timeout
             if need == 2:
                 # the set's last point is walked here; allowed lies in
-                # room[1], and only lines through p that hold a
-                # candidate need the shut test
-                last = allowed >> p + 1 << p + 1
-                for lm in star[p]:
-                    if lm & last and lm & used:
-                        last &= ~lm
-                        if not last:
-                            break
+                # room[1], and a candidate e is shut when its line
+                # through p meets used
+                base = p + 1
+                last = allowed >> base  # bit j: point base + j
+                if last:
+                    lines = star[p]
+                    row = rows[p] or pair_row(p)
                 while last:
                     end = last & -last
                     last ^= end
+                    j = end.bit_length() - 1
+                    if lines[row[j]] & used:
+                        continue
                     nodes += 1
                     if (deadline is not None and not nodes & 2047
                             and time.monotonic() > deadline):
                         raise _Timeout
-                    complete_set(cur + (p, end.bit_length() - 1),
-                                 used | low | end, dead, done)
+                    e = base + j
+                    complete_set(cur + (p, e), used | low | 1 << e, dead,
+                                 done)
                     if stop:
                         return
             elif need == 1:  # k = 2: open_set placed the first point
@@ -510,13 +517,25 @@ def _dfs(
             except OSError:
                 pass
 
+    def pair_row(a: int) -> bytearray | memoryview:
+        row = rows[a] = _pair_row(a, pencil[a], n)
+        return row
+
     descend = young if width > 1 else open_set
     with cores.Forks(cpus) as kids:
         try:
-            line_mask = [sum(1 << p for p in plane.points_on(lid))
-                         for lid in clocked(range(plane.n_lines))]
-            star = [tuple(line_mask[lid] for lid in plane.lines_through(p))
-                    for p in clocked(range(n))]
+            # the lines hold their ids from one list, so that they share
+            # the int objects
+            ids = list(range(n))
+            on, line_mask = [], []
+            for lid in clocked(range(plane.n_lines)):
+                on.append(tuple(map(ids.__getitem__, plane.points_on(lid))))
+                line_mask.append(sum(1 << p for p in on[lid]))
+            star = []
+            for p in clocked(range(n)):
+                lids = plane.lines_through(p)
+                star.append(tuple(line_mask[lid] for lid in lids))
+                pencil.append(tuple(on[lid] for lid in lids))
             if symmetry == "fix-first-arc":
                 first = _greedy_arc(plane, k)
                 complete_set(tuple(first), sum(1 << p for p in first), 0,
@@ -529,6 +548,25 @@ def _dfs(
             if me:  # a child never returns into the caller's stack
                 os._exit(0)
     return best_sets, nodes, timed_out
+
+
+def _pair_row(a: int, lines: Sequence[Sequence[int]],
+              n: int) -> bytearray | memoryview:
+    """Row a of a pair table over the point ids [0, n).
+
+    lines are the lines through point a, each given by its point ids;
+    entry b - a - 1 of the row, for each b in (a, n), is the index in
+    lines of the line through a and b.  An entry takes one byte while a
+    takes at most 256 lines (q <= 255), two bytes above that.
+    """
+    m = n - a - 1
+    row = (bytearray(m) if len(lines) <= 256
+           else memoryview(bytearray(2 * m)).cast("H"))
+    for i, pts in enumerate(lines):
+        for b in pts:
+            if b > a:
+                row[b - a - 1] = i
+    return row
 
 
 def _words(key: tuple[int, ...]) -> bytes:

@@ -17,6 +17,7 @@ from localarc.arcs import (
     LocalArcFamily,
     NotVerified,
     family_to_dict,
+    sample_verify,
     secants_of,
     verify_local_arc,
 )
@@ -43,7 +44,8 @@ from localarc.construct import (
     seed_to_dict,
     validate_generic,
 )
-from localarc.gf import is_prime
+from localarc.gf import is_prime, make_field
+from localarc.plane import make_plane
 from localarc.sdf import BASIS_5, SdfBasis
 
 EX1_SETS = (((0, 4), (4, 4)), ((0, 3), (2, 3)), ((1, 3), (3, 3)))
@@ -328,21 +330,71 @@ def test_case2_t3_count_is_p5():
 CASE2_T3 = ["construct", "--method", "case2", "--t", "3"]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="case 2 at t = 3 is rejected for p = 5 and 7 (p = 3 verifies); "
-           "whether case2_lift's odd-t alphabets or the paper's count "
-           "p^{5(s-1)} per set is wrong is open")
+def case2_even_over(seed, t, w):
+    """case2_lift's family with w*GF(p) on the even places of g, for a
+    w of the tower GF(p^{2t}): a test-local reference builder."""
+    p = seed.plane.field.p
+    tw = make_field(p, 2 * t, tower=True)
+    alpha = tw.generator_enc()
+    f_vals = construct_mod._poly_values(
+        tw, alpha, [(i, range(p * p)) for i in range(1, (t + 1) // 2)])
+    even = sorted(tw.mul(w, c) for c in range(p))
+    g_vals = construct_mod._poly_values(
+        tw, alpha, [(i, range(p * p) if i % 2 else even) for i in range(1, t)])
+    layout = construct_mod._sorted_layout(
+        construct_mod._affine_coords(seed), f_vals, g_vals)
+    return LocalArcFamily.translates(make_plane(tw, "planar"), layout,
+                                     k=seed.k)
+
+
+def case2_tower_alpha(p, t):
+    """The case-2 lift of the conic seed with alpha*GF(p) on the even
+    places, alpha the primitive element of the whole tower, which does
+    not lie in GF(p^2): a family the exact check rejects at t = 3 for
+    p = 5 and 7."""
+    base = case1_lift(conic_partition_seed(p, 2), check=False)
+    return case2_even_over(base, t,
+                           make_field(p, 2 * t, tower=True).generator_enc())
+
+
 def test_case2_t3_p5_is_a_local_arc(capsys):
     assert run([*CASE2_T3, "--p", "5"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("p, t", [(5, 3), (3, 4), (3, 5)])
+def test_case2_is_accepted_exactly_above_t2(p, t):
+    base = case1_lift(conic_partition_seed(p, 2), check=False)
+    fam = case2_lift(base, t)
+    report = verify_local_arc(fam)
+    assert report.ok and report.mode == "translation"
+    s = (t + 1) // 2
+    assert fam.n_sets == base.n_sets * (
+        p ** (5 * (s - 1)) if t % 2 else p ** (5 * s - 3))
+
+
+def test_case2_reference_builder_is_case2_lift():
+    # with w the primitive element of GF(p^2) the test-local builder
+    # lists case2_lift's sets in its order
+    base = case1_lift(conic_partition_seed(3, 2), check=False)
+    w = make_field(3, 2).generator_enc()
+    assert list(case2_even_over(base, 3, w).sets) == list(
+        case2_lift(base, 3, check=False).sets)
+
+
+def test_case2_with_a_square_on_the_even_places_is_rejected():
+    base = case1_lift(conic_partition_seed(3, 2), check=False)
+    gf9 = make_field(3, 2)
+    w = gf9.mul(gf9.generator_enc(), gf9.generator_enc())
+    assert gf9.is_square_enc(w)
+    report = verify_local_arc(case2_even_over(base, 3, w))
+    assert report.mode == "translation" and not report.ok
+
+
 @pytest.mark.parametrize("p, pair", [(5, (0, 2293)), (7, (0, 183313))])
 def test_case2_t3_exact_rejection_names_its_pair(p, pair):
-    # companion of the xfail above: the exact check names the same pair
-    # on every run
-    base = case1_lift(conic_partition_seed(p, 2), check=False)
-    report = verify_local_arc(case2_lift(base, 3, check=False))
+    # the tower-alpha alphabet: the exact check names the same pair on
+    # every run
+    report = verify_local_arc(case2_tower_alpha(p, 3))
     assert report.mode == "translation" and not report.ok
     assert report.violation.kind == "collinear"
     assert report.violation.sets == pair
@@ -350,17 +402,18 @@ def test_case2_t3_exact_rejection_names_its_pair(p, pair):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 def test_case2_t3_sampled_rejection_is_the_same_on_any_cpu_count(
-        cpus, monkeypatch, capsys):
+        cpus, monkeypatch):
+    fam = case2_tower_alpha(5, 3)
     mask = os.sched_getaffinity(0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     try:
-        assert run([*CASE2_T3, "--p", "5",
-                    "--verify", "sample:100000:0"]) == EXIT_REJECTED
+        report = sample_verify(fam, 100_000, seed=0)
     finally:
         os.sched_setaffinity(0, mask)
-    out = capsys.readouterr().out
-    assert out.startswith("rejected: line ")
-    assert out.endswith(" from sets [16923, 29898]\n")
+    assert not report.ok
+    text = report.violation.describe(fam.plane)
+    assert text.startswith("line ")
+    assert text.endswith(" from sets [16923, 29898]")
 
 
 def test_case2_rejects_shallow_tower():

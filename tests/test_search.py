@@ -26,6 +26,7 @@ from localarc.search import (
     _dfs,
     _greedy_arc,
     _max_arc_size,
+    _pair_row,
     _Timeout,
 )
 
@@ -451,6 +452,39 @@ def test_budget_covers_set_up():
     res = exact_max(127, 3, budget=0.5)
     assert time.monotonic() - start < 2
     assert not res.optimal
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_pair_rows_agree_with_the_plane(q):
+    # rows built as _dfs builds them: every ordered pair a != b finds
+    # the line plane.join(a, b), through the row of its smaller point
+    plane = make_plane(q, kind="homogeneous")
+    n = plane.n_points
+    star = [plane.lines_through(a) for a in range(n)]
+    rows = [_pair_row(a, [plane.points_on(lid) for lid in star[a]], n)
+            for a in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                lo, hi = min(a, b), max(a, b)
+                assert star[lo][rows[lo][hi - lo - 1]] == plane.join(a, b)
+
+
+@pytest.mark.parametrize("width", [256, 300])
+def test_pair_row_holds_star_indices_above_255(width):
+    # point 0 on `width` lines, line i through 0 and i + 1: entries run
+    # up to width - 1, as in PG(2, q) for q >= 256, too large to build
+    row = _pair_row(0, [(0, i + 1) for i in range(width)], width + 1)
+    assert list(row) == list(range(width))
+
+
+def test_budget_covers_long_pair_rows():
+    # PG(2, 49): each row holds up to 2,450 entries, built while the
+    # search runs
+    start = time.monotonic()
+    res = exact_max(49, 3, budget=1)
+    assert time.monotonic() - start < 2.5
+    assert not res.optimal and res.num_sets > 1
 
 
 # the perfbench search-table cells: (q, k, cap) -> (sets, nodes, family)
