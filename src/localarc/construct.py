@@ -486,11 +486,11 @@ def case2_lift(seed: LocalArcFamily, t: int, check: bool = True) -> LocalArcFami
 
     The even places need w to be a non-square of GF(p^2), which a
     primitive element is.  This rule is measured, not taken from the
-    paper: at t = 3 and p = 3, 5 and 7, the exact check accepts the
-    case-1 lift of a conic seed, lifted by case 2, for each of the p + 1
-    lines w*GF(p) whose w is a non-square and rejects it for each whose
-    w is a square; the tower's own alpha in place of w is rejected at
-    (p, t) = (5, 3), (7, 3), (3, 4) and (3, 5).  t = 2 has no even place.
+    paper.  Lifting the case-1 lift of a conic seed at t = 3 and p = 3,
+    5 and 7, the exact check accepts each of the p + 1 lines w*GF(p) of
+    GF(p^2) whose w is a non-square and rejects each whose w is a
+    square; the tower's own alpha in place of w is rejected at (p, t) =
+    (5, 3), (7, 3), (3, 4) and (3, 5).  t = 2 has no even place.
     """
     if t < 2:
         raise NotTower(f"tower degree 2t needs t >= 2, got t = {t}")

@@ -90,8 +90,9 @@ class _Timeout(Exception):
 
 
 # a search splits its tree only once it has made this many nodes, about
-# 15 ms at the 1.1 M nodes/s of one core on the bench cells: a fork costs
-# 1-2 ms, and the child copies the caller's pages as either writes to them
+# 15-18 ms at the 0.9-1.1 M nodes/s of one core on the bench cells: a fork
+# costs 1-2 ms, and the child copies the caller's pages as either writes
+# to them
 _FORK_NODES = 1 << 14
 # nodes a task holds on average at the depth the tree is split at: each
 # costs a report and its lookup, a few microseconds
