@@ -7,9 +7,14 @@ line).  Verification comes in three flavours:
 * verify_local_arc        -- exact.  A family built as all translates of
                              a base (LocalArcFamily.translates, which keeps
                              the TranslationLayout) is decided from the base
-                             and the difference set T - T; any other family
-                             gets one pass over all point pairs with a line
-                             ownership index.
+                             and the difference set T - T.  A family whose
+                             distinct points all lie on the conic
+                             x1^2 = x0 x2 (or, for even q, its nucleus) is
+                             accepted in one pass over its points: it sits
+                             inside an oval or a hyperoval, so every union
+                             of two sets is an arc.  Any other family, and
+                             every rejection, gets one pass over all point
+                             pairs with a line ownership index.
 * verify_local_arc_oracle -- literal restatement of the definition,
                              quadratic in the number of sets; guarded by a
                              size limit so it stays a cross-check tool.
@@ -302,15 +307,59 @@ def _collinear_witness(family, flat, ln) -> Violation:
 
 
 def verify_local_arc(family: LocalArcFamily) -> VerifyReport:
-    """Exact check: by translation or by a sweep over point pairs.
+    """Exact check: by translation, by the conic, or by a sweep over
+    point pairs.
 
     A family with a TranslationLayout is checked from its base and
-    T - T (mode "translation"); every other family is swept (mode
-    "fast").
+    T - T (mode "translation").  A family of distinct points that all
+    satisfy x1^2 = x0 x2, the conic, or are its nucleus (0 : 1 : 0) at
+    even q, is accepted in one pass over its points (mode
+    "arc-partition", pairs_checked the point count): the conic is an
+    oval, and with the nucleus a hyperoval, so no three of these points
+    are collinear and every union of two sets is an arc (Hirschfeld,
+    Projective Geometries over Finite Fields, section 8).  Every other
+    family is swept (mode "fast"), and so is any family this test
+    rejects, so every rejection and its witness are the sweep's.
     """
     if family.translation is not None:
         return _verify_translates(family)
+    n = _conic_points(family)
+    if n is not None:
+        return VerifyReport(True, "arc-partition", n)
     return _verify_sweep(family)
+
+
+def _conic_points(family: LocalArcFamily) -> int | None:
+    """The point count of a family of distinct points on the conic or
+    its nucleus; None at the first point that is neither, or repeats.
+
+    A normalised triple on the conic is (1 : t : t^2), one field
+    multiplication to test, or (0 : 0 : 1); so t, or q for (0 : 0 : 1)
+    and q + 1 for the nucleus, names the point, and a bytearray of q + 2
+    flags finds a repeat.
+    """
+    plane = family.plane
+    coords, mul, q, n_points = (plane.coords, plane.field.mul, plane.q,
+                                plane.n_points)
+    even = plane.field.p == 2
+    seen = bytearray(q + 2)
+    count = 0
+    for i in range(family.n_sets):
+        for pid in family.sets[i]:
+            if not 0 <= pid < n_points:
+                return None
+            c0, c1, c2 = coords(pid)
+            if c0:
+                slot = c1 if mul(c1, c1) == c2 else -1
+            elif c1:
+                slot = q + 1 if even and not c2 else -1
+            else:
+                slot = q
+            if slot < 0 or seen[slot]:
+                return None
+            seen[slot] = 1
+            count += 1
+    return count
 
 
 def _verify_sweep(family: LocalArcFamily) -> VerifyReport:

@@ -342,102 +342,123 @@ def _cmd_table(ns: argparse.Namespace) -> _Result:
 # argument parsing
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _format_arg(p: argparse.ArgumentParser, formats=_FORMATS) -> None:
+    p.add_argument("--format", dest="fmt", default="text", choices=formats)
+
+
+def _construct_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--q", type=int)
+    p.add_argument("--p", type=int)
+    p.add_argument("--m", type=int, help="extension degree (case3)")
+    p.add_argument("--t", type=int, help="tower height (case2)")
+    p.add_argument("--k", type=int)
+    p.add_argument("--method", choices=_METHODS, default="best")
+    p.add_argument("--basis", help="digit basis, e.g. 5,0,2")
+    p.add_argument("--M1", type=float, dest="m1")
+    p.add_argument("--M2", type=float, dest="m2")
+    p.add_argument("--alphabet", help="case3 alphabet override, csv")
+    p.add_argument("--seed-file", dest="in_path")
+    p.add_argument("--out", dest="out_path")
+    p.add_argument("--verify", dest="verify_mode", default="full",
+                   help="full, none, or sample:COUNT:SEED")
+    _format_arg(p)
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--in", dest="in_path", required=True)
+    p.add_argument("--mode", dest="verify_mode", default="full",
+                   help="full or sample:COUNT:SEED")
+    _format_arg(p)
+
+
+def _bound_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    _format_arg(p)
+
+
+def _search_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--budget", type=float)
+    p.add_argument("--symmetry", choices=("none", "fix-first-arc"),
+                   help="fix-first-arc pins the first set and is valid "
+                   "only for k <= 4 (the default there); none above")
+    p.add_argument("--cap", type=int)
+    p.add_argument("--certificate")
+    _format_arg(p)
+
+
+def _sdf_args(p: argparse.ArgumentParser) -> None:
+    sdf_sub = p.add_subparsers(dest="sdf_action", required=True)
+    pv = sdf_sub.add_parser("verify")
+    pv.add_argument("--elements", required=True)
+    pv.add_argument("--mod", type=int, dest="modulus", required=True)
+    _format_arg(pv)
+    pb = sdf_sub.add_parser("build")
+    pb.add_argument("--n", type=int, required=True)
+    pb.add_argument("--basis", help="digit basis, e.g. 5,0,2")
+    _format_arg(pb)
+    pm = sdf_sub.add_parser("max")
+    pm.add_argument("--n", type=int, required=True)
+    _format_arg(pm)
+
+
+def _ilp_export_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--cap", type=int)
+    p.add_argument("--fix-first", dest="fix_first", action="store_true",
+                   help="pin the first set to a fixed k-arc (k <= 4)")
+    p.add_argument("--out", dest="out_path")
+
+
+def _lrc_params_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--in", dest="in_path", required=True)
+    _format_arg(p)
+
+
+def _table_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--q", dest="qs", help="comma separated values")
+    p.add_argument("--k", dest="ks", help="comma separated values")
+    p.add_argument("--budget", type=float, help="seconds per cell")
+    # the text table is tab-separated; tsv names it
+    _format_arg(p, _FORMATS + ("tsv",))
+
+
+# name -> (help, adds its arguments, runs it), in the order -h lists them
+_SUBCOMMANDS = {
+    "construct": ("build a family", _construct_args, _cmd_construct),
+    "verify": ("re-verify a stored family or seed", _verify_args,
+               _cmd_verify),
+    "bound": ("upper bounds for one (q, k)", _bound_args, _cmd_bound),
+    "search": ("exact maximum by backtracking", _search_args, _cmd_search),
+    "sdf": ("square-difference-free sets", _sdf_args, _cmd_sdf),
+    "ilp-export": ("write the 0/1 program", _ilp_export_args,
+                   _cmd_ilp_export),
+    "lrc-params": ("code parameters of a family", _lrc_params_args,
+                   _cmd_lrc_params),
+    "table": ("reproduce the reference table", _table_args, _cmd_table),
+}
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of subcommand `only` alone.
+
+    Given `only`, the subcommand list still prints as every name, so
+    usage lines and errors read as the full parser's.
+    """
     top = argparse.ArgumentParser(
         prog="localarc",
         description="constructions, bounds and exact search for "
                     "k-uniform local arcs in PG(2,q)")
-    sub = top.add_subparsers(dest="subcommand", required=True)
-
-    def common(p: argparse.ArgumentParser, formats=_FORMATS) -> None:
-        p.add_argument("--format", dest="fmt", default="text",
-                       choices=formats)
-
-    pc = sub.add_parser("construct", help="build a family")
-    pc.add_argument("--q", type=int)
-    pc.add_argument("--p", type=int)
-    pc.add_argument("--m", type=int, help="extension degree (case3)")
-    pc.add_argument("--t", type=int, help="tower height (case2)")
-    pc.add_argument("--k", type=int)
-    pc.add_argument("--method", choices=_METHODS, default="best")
-    pc.add_argument("--basis", help="digit basis, e.g. 5,0,2")
-    pc.add_argument("--M1", type=float, dest="m1")
-    pc.add_argument("--M2", type=float, dest="m2")
-    pc.add_argument("--alphabet", help="case3 alphabet override, csv")
-    pc.add_argument("--seed-file", dest="in_path")
-    pc.add_argument("--out", dest="out_path")
-    pc.add_argument("--verify", dest="verify_mode", default="full",
-                    help="full, none, or sample:COUNT:SEED")
-    common(pc)
-
-    pv = sub.add_parser("verify", help="re-verify a stored family or seed")
-    pv.add_argument("--in", dest="in_path", required=True)
-    pv.add_argument("--mode", dest="verify_mode", default="full",
-                    help="full or sample:COUNT:SEED")
-    common(pv)
-
-    pb = sub.add_parser("bound", help="upper bounds for one (q, k)")
-    pb.add_argument("--q", type=int, required=True)
-    pb.add_argument("--k", type=int, required=True)
-    common(pb)
-
-    ps = sub.add_parser("search", help="exact maximum by backtracking")
-    ps.add_argument("--q", type=int, required=True)
-    ps.add_argument("--k", type=int, required=True)
-    ps.add_argument("--budget", type=float)
-    ps.add_argument("--symmetry", choices=("none", "fix-first-arc"),
-                    help="fix-first-arc pins the first set and is valid "
-                    "only for k <= 4 (the default there); none above")
-    ps.add_argument("--cap", type=int)
-    ps.add_argument("--certificate")
-    common(ps)
-
-    pf = sub.add_parser("sdf", help="square-difference-free sets")
-    sdf_sub = pf.add_subparsers(dest="sdf_action", required=True)
-    pfv = sdf_sub.add_parser("verify")
-    pfv.add_argument("--elements", required=True)
-    pfv.add_argument("--mod", type=int, dest="modulus", required=True)
-    common(pfv)
-    pfb = sdf_sub.add_parser("build")
-    pfb.add_argument("--n", type=int, required=True)
-    pfb.add_argument("--basis", help="digit basis, e.g. 5,0,2")
-    common(pfb)
-    pfm = sdf_sub.add_parser("max")
-    pfm.add_argument("--n", type=int, required=True)
-    common(pfm)
-
-    pi = sub.add_parser("ilp-export", help="write the 0/1 program")
-    pi.add_argument("--q", type=int, required=True)
-    pi.add_argument("--k", type=int, required=True)
-    pi.add_argument("--cap", type=int)
-    pi.add_argument("--fix-first", dest="fix_first", action="store_true",
-                    help="pin the first set to a fixed k-arc (k <= 4)")
-    pi.add_argument("--out", dest="out_path")
-
-    pl = sub.add_parser("lrc-params", help="code parameters of a family")
-    pl.add_argument("--in", dest="in_path", required=True)
-    common(pl)
-
-    pt = sub.add_parser("table", help="reproduce the reference table")
-    pt.add_argument("--q", dest="qs", help="comma separated values")
-    pt.add_argument("--k", dest="ks", help="comma separated values")
-    pt.add_argument("--budget", type=float, help="seconds per cell")
-    # the text table is tab-separated; tsv names it
-    common(pt, _FORMATS + ("tsv",))
-
+    sub = top.add_subparsers(
+        dest="subcommand", required=True,
+        metavar=None if only is None else "{%s}" % ",".join(_SUBCOMMANDS))
+    for name, (help_text, add_args, _) in _SUBCOMMANDS.items():
+        if only in (None, name):
+            add_args(sub.add_parser(name, help=help_text))
     return top
-
-
-_DISPATCH = {
-    "construct": _cmd_construct,
-    "verify": _cmd_verify,
-    "bound": _cmd_bound,
-    "search": _cmd_search,
-    "sdf": _cmd_sdf,
-    "ilp-export": _cmd_ilp_export,
-    "lrc-params": _cmd_lrc_params,
-    "table": _cmd_table,
-}
 
 
 def _prepare(ns: argparse.Namespace) -> None:
@@ -457,11 +478,14 @@ def _prepare(ns: argparse.Namespace) -> None:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # only the invoked subcommand's parser is built; -h, an empty argv
+    # and an unknown name get the full one
+    only = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    ns = _build_parser(only).parse_args(argv)
     try:
         _prepare(ns)
-        code, value, lines = _DISPATCH[ns.subcommand](ns)
+        code, value, lines = _SUBCOMMANDS[ns.subcommand][2](ns)
     except NotVerified as exc:
         print(f"rejected: {exc}")
         return EXIT_REJECTED

@@ -22,6 +22,7 @@ from localarc.arcs import (
     _Translates,
     _draw_pairs,
     _first_collinear,
+    _verify_sweep,
     derive_phi,
     family_from_dict,
     family_to_dict,
@@ -37,12 +38,14 @@ from localarc.arcs import (
 )
 from localarc.construct import (
     GenericSeed,
+    KTooLarge,
     case1_lift,
     case2_lift,
     column_pair_seed,
     conic_partition_seed,
     generic_k_arc,
     lift_prime,
+    oval_partition,
 )
 from localarc.plane import convert_line, make_plane
 from localarc.sdf import BASIS_5
@@ -196,6 +199,113 @@ def test_oracle_size_guard():
     fam = LocalArcFamily(P5, column_pairs(P5))
     with pytest.raises(TooLarge):
         verify_local_arc_oracle(fam, limit=5)
+
+
+# ---------------------------------------------------------------------------
+# conic and hyperoval partitions: accepted in one pass over the points
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_oval_partitions_are_arc_partitions(q):
+    with_nucleus = False
+    for k in range(2, q + 3):
+        try:
+            fam = oval_partition(q, k)
+        except KTooLarge:
+            break
+        assert verify_local_arc(fam) == VerifyReport(
+            True, "arc-partition", fam.total_points)
+        assert _verify_sweep(fam).ok
+        with_nucleus |= any(q * q in s for s in fam.sets)
+    # the hyperoval's nucleus (0 : 1 : 0) is point q^2 at even q
+    assert with_nucleus == (q % 2 == 0)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_conic_seeds_are_arc_partitions(p):
+    for k in range(2, p + 1):
+        fam = conic_partition_seed(p, k)
+        assert verify_local_arc(fam) == VerifyReport(
+            True, "arc-partition", fam.total_points)
+        assert _verify_sweep(fam).ok
+
+
+def test_mixed_size_conic_subfamilies_are_arc_partitions():
+    rng = random.Random(33)
+    for plane in (P7, P13, H4, make_plane(9, "homogeneous")):
+        for _ in range(20):
+            pts = rng.sample(plane.conic(), rng.randrange(1, plane.q + 1))
+            sets, i = [], 0
+            while i < len(pts):
+                size = rng.randrange(1, 5)
+                sets.append(tuple(pts[i:i + size]))
+                i += size
+            fam = LocalArcFamily(plane, sets)
+            assert verify_local_arc(fam) == VerifyReport(
+                True, "arc-partition", len(pts))
+            assert _verify_sweep(fam).ok
+
+
+CONIC_PLANES = [P5, P7, make_plane(9, "planar"), make_plane(5, "homogeneous"),
+                make_plane(9, "homogeneous"), H4, make_plane(8, "homogeneous"),
+                make_plane(16, "homogeneous")]
+
+
+def nucleus_010(plane):
+    """The id of (0 : 1 : 0): the slope point (0) in the planar
+    presentation."""
+    return next(i for i in range(plane.q ** 2, plane.n_points)
+                if plane.coords(i) == (0, 1, 0))
+
+
+def planted_families(plane):
+    """Families of (hyper)oval points with one planted fault each.
+
+    For each point x off the (hyper)oval, set 0 is two oval points a, b
+    whose secant passes through x, and set 1 is x alone, or x with the
+    rest of the oval in pairs after it; last, an oval point repeated in
+    sets 0 and 1.
+    """
+    pts = sorted(plane.conic())
+    for x in range(plane.n_points):
+        if x in pts:
+            continue
+        a, b = next((a, b) for a, b in itertools.combinations(pts, 2)
+                    if plane.incident(x, plane.join(a, b)))
+        rest = [p for p in pts if p not in (a, b)]
+        yield LocalArcFamily(plane, [(a, b), (x,)])
+        yield LocalArcFamily(plane, [(a, b), (x, rest[0])] + [
+            tuple(rest[i:i + 2]) for i in range(1, len(rest) - 1, 2)])
+    yield LocalArcFamily(plane, [tuple(pts[:2]), (pts[0], pts[2])])
+
+
+@pytest.mark.parametrize("plane", CONIC_PLANES, ids=repr)
+def test_planted_faults_are_left_to_the_sweep(plane):
+    # the points off the (hyper)oval include each slope point (z) and, at
+    # odd q, (0 : 1 : 0)
+    assert (nucleus_010(plane) in plane.conic()) == (plane.q % 2 == 0)
+    for fam in planted_families(plane):
+        want = _verify_sweep(fam)
+        assert not want.ok and want.mode == "fast", fam.sets
+        assert verify_local_arc(fam) == want
+    assert want.violation.kind == "overlap" and want.violation.sets == (0, 1)
+
+
+@pytest.mark.parametrize("plane", CONIC_PLANES, ids=repr)
+def test_0_1_0_joins_the_conic_only_at_even_q(plane):
+    fam = LocalArcFamily(plane, [(nucleus_010(plane),),
+                                 tuple(plane.conic()[:3])])
+    if plane.q % 2:
+        assert verify_local_arc(fam) == _verify_sweep(fam)
+    else:
+        assert verify_local_arc(fam) == VerifyReport(True, "arc-partition", 4)
+        assert _verify_sweep(fam).ok
+
+
+def test_ids_outside_the_plane_are_left_to_the_sweep():
+    for bad in (-1, P5.n_points, P5.n_points + 5):
+        fam = LocalArcFamily(P5, [(0, bad)])
+        assert verify_local_arc(fam) == _verify_sweep(fam)
 
 
 def test_sample_verify_is_deterministic_and_replayable():

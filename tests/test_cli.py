@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import json
 import shlex
 import subprocess
@@ -342,6 +345,18 @@ def test_construct_lift_prime_rejects_defective_seed(capsys):
     assert "repeats" in capsys.readouterr().out
 
 
+def test_a_stored_oval_family_is_not_swept(tmp_path, capsys):
+    out = tmp_path / "oval.json"
+    assert run(["construct", "--method", "oval", "--q", "2003", "--k", "2",
+                "--out", str(out), "--format", "json"]) == EXIT_OK
+    built = json.loads(capsys.readouterr().out)
+    assert run(["verify", "--in", str(out), "--format", "json"]) == EXIT_OK
+    again = json.loads(capsys.readouterr().out)
+    for res in (built, again):
+        assert res["verify_mode"] == "arc-partition"
+        assert res["pairs_checked"] == 2004
+
+
 def test_construct_case1(capsys):
     assert run(["construct", "--method", "case1", "--p", "11",
                 "--format", "json"]) == EXIT_OK
@@ -545,6 +560,51 @@ def test_readme_commands_parse():
         argv = shlex.split(command)
         assert argv[0] == "localarc", command
         parser.parse_args(argv[1:])
+
+
+def _parse_outcome(parser: argparse.ArgumentParser, argv: list[str]):
+    """The namespace, or the exit code and what was printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    *(shlex.split(command)[1:] for command in _readme_commands()),
+    [], ["-h"], ["construct", "-h"], ["bogus"], ["construct", "--bogus"],
+    ["search", "--q", "x"], ["sdf"], ["sdf", "max", "--n", "5", "--x"],
+], ids=lambda argv: shlex.join(argv) or "(empty)")
+def test_the_invoked_subcommands_parser_parses_as_the_full_one(argv):
+    only = argv[0] if argv and argv[0] in cli._SUBCOMMANDS else None
+    assert (_parse_outcome(cli._build_parser(only), argv)
+            == _parse_outcome(cli._build_parser(), argv))
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> list[str]:
+    sub, = (a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+def test_build_parser_registers_only_the_named_subcommand():
+    assert _subcommands(cli._build_parser("search")) == ["search"]
+    assert _subcommands(cli._build_parser()) == list(cli._SUBCOMMANDS)
+
+
+def test_run_builds_the_invoked_subcommands_parser(monkeypatch, capsys):
+    built = []
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda only=None: built.append(only) or full(only))
+    assert run(["bound", "--q", "7", "--k", "4"]) == EXIT_OK
+    for argv in ([], ["-h"], ["bogus"]):
+        with pytest.raises(SystemExit):
+            run(argv)
+    capsys.readouterr()
+    assert built == ["bound", None, None, None]
 
 
 def test_run_config_validation(capsys, monkeypatch):
@@ -783,7 +843,7 @@ _JSON_RUNS = [
 
 
 def test_json_runs_cover_every_subcommand_with_a_format():
-    assert {argv[0] for argv in _JSON_RUNS} == set(cli._DISPATCH) - {
+    assert {argv[0] for argv in _JSON_RUNS} == set(cli._SUBCOMMANDS) - {
         "ilp-export"}
     assert {argv[1] for argv in _JSON_RUNS if argv[0] == "sdf"} == {
         "verify", "build", "max"}
@@ -814,7 +874,7 @@ def test_json_values_hold_no_record(tmp_path, argv):
     argv = [_oval4_file(tmp_path) if a == "{oval4}" else a for a in argv]
     ns = cli._build_parser().parse_args(argv + ["--format", "json"])
     cli._prepare(ns)
-    code, value, _ = cli._DISPATCH[ns.subcommand](ns)
+    code, value, _ = cli._SUBCOMMANDS[ns.subcommand][2](ns)
     assert code == EXIT_OK and _plain_json(value)
 
 

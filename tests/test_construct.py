@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ import localarc.construct as construct_mod
 from localarc.arcs import (
     LocalArcFamily,
     NotVerified,
+    VerifyReport,
     family_to_dict,
     sample_verify,
     secants_of,
@@ -154,6 +156,29 @@ def test_conic_partition_seed_shape():
 def test_conic_partition_seed_refuses_k_below_2(p, k):
     with pytest.raises(ValueError, match="set size k must be at least 2"):
         conic_partition_seed(p, k)
+
+
+@pytest.mark.parametrize("build, n_points", [
+    (lambda: oval_partition(2003, 2), 2004),
+    (lambda: conic_partition_seed(2003), 2002),
+])
+def test_p2003_seeds_are_accepted_in_one_pass(build, n_points):
+    # the pair sweep took about 4 s on each of these
+    t0 = time.monotonic()
+    fam = build()
+    report = verify_local_arc(fam)
+    assert time.monotonic() - t0 < 2.0
+    assert report == VerifyReport(True, "arc-partition", n_points)
+
+
+@pytest.mark.slow
+def test_best_construction_at_131_cubed_ends():
+    # 2,248,092 oval points: a pair sweep would run for months
+    t0 = time.monotonic()
+    _, report = best_construction(131 ** 3, 2)
+    assert time.monotonic() - t0 < 120.0
+    assert report == {"oval_partition": 1124046, "case3": 34060,
+                      "winner": "oval_partition(q=2248091,k=2)"}
 
 
 @pytest.mark.parametrize("q,k", [(7, 0), (7, 1), (7, 30), (3, 5), (9, 0),
