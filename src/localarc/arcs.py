@@ -12,15 +12,22 @@ line).  Verification comes in three flavours:
                              x1^2 = x0 x2 (or, for even q, its nucleus) is
                              accepted in one pass over its points: it sits
                              inside an oval or a hyperoval, so every union
-                             of two sets is an arc.  Any other family, and
-                             every rejection, gets one pass over all point
-                             pairs with a line ownership index.
+                             of two sets is an arc.  So is a family of
+                             distinct points on two lines, off their meet,
+                             with no set holding two points of one line.
+                             Any other family, and every rejection, gets
+                             one pass over all point pairs with a line
+                             ownership index.
 * verify_local_arc_oracle -- literal restatement of the definition,
                              quadratic in the number of sets; guarded by a
                              size limit so it stays a cross-check tool.
 * sample_verify           -- deterministic spot check of sampled set pairs,
                              for families too large to verify exhaustively.
-                             The pairs come from a counter-based stream
+                             A translation family whose exact check costs
+                             no more than the samples is decided exactly
+                             first; an accepted one reports what the
+                             samples would.  Otherwise the pairs come
+                             from a counter-based stream
                              computed a packed chunk at a time, cut into
                              shards that forked children scan on the
                              other CPUs; the report does not depend on
@@ -210,7 +217,8 @@ class LocalArcFamily:
     """A collection of point sets over one plane.
 
     ``sets`` may be any sequence of sorted point tuples, including a lazy
-    one; only list/tuple inputs are normalised up front.  ``k`` is the
+    one; only list/tuple inputs are normalised up front, and they raise
+    ValueError for a point id outside [0, plane.n_points).  ``k`` is the
     common set size, or 0 for mixed sizes.  ``provenance`` is a free-form
     note on how the family was built, carried through transformations and
     serialisation.  ``translation`` is the TranslationLayout of a family
@@ -223,6 +231,12 @@ class LocalArcFamily:
                  provenance: str = ""):
         if isinstance(sets, (list, tuple)):
             sets = tuple(tuple(sorted(s)) for s in sets)
+            n = plane.n_points
+            bad = next((s for s in sets if s and not 0 <= s[0] <= s[-1] < n),
+                       None)
+            if bad is not None:
+                raise ValueError(f"set {list(bad)} holds a point id outside "
+                                 f"[0, {n})")
             if k is None:
                 sizes = {len(s) for s in sets}
                 k = sizes.pop() if len(sizes) == 1 else 0
@@ -320,12 +334,21 @@ def verify_local_arc(family: LocalArcFamily) -> VerifyReport:
     Projective Geometries over Finite Fields, section 8).  Every other
     family is swept (mode "fast"), and so is any family this test
     rejects, so every rejection and its witness are the sweep's.
+
+    A family of distinct points on two lines, none at their meet and no
+    set holding two of one line, is accepted the same way (mode
+    "line-pair", pairs_checked the point count): the union of two sets
+    then holds at most two points of either line, and any other line
+    meets the two lines once each.  column_pair_seed is such a family.
     """
     if family.translation is not None:
         return _verify_translates(family)
     n = _conic_points(family)
     if n is not None:
         return VerifyReport(True, "arc-partition", n)
+    n = _line_pair_points(family)
+    if n is not None:
+        return VerifyReport(True, "line-pair", n)
     return _verify_sweep(family)
 
 
@@ -360,6 +383,51 @@ def _conic_points(family: LocalArcFamily) -> int | None:
             seen[slot] = 1
             count += 1
     return count
+
+
+def _line_pair_points(family: LocalArcFamily) -> int | None:
+    """The point count of a family of distinct points on two lines, none
+    at their meet, with no set holding two points of one line; None when
+    it is not one.
+
+    Its first two sets (a, b) and (c, d) put one point on each line, so
+    the lines are join(a, c) and join(b, d), or join(a, d) and join(b, c):
+    each pairing gets a pass, the second if the first fails.
+    """
+    plane, sets = family.plane, family.sets
+    if family.n_sets < 2 or not len(sets[0]) == len(sets[1]) == 2:
+        return None
+    (a, b), (c, d) = sets[0], sets[1]
+    ends = {a, b, c, d}
+    if len(ends) < 4 or not all(0 <= x < plane.n_points for x in ends):
+        return None
+    for l1, l2 in ((plane.join(a, c), plane.join(b, d)),
+                   (plane.join(a, d), plane.join(b, c))):
+        n = _points_on_lines(family, l1, l2)
+        if n is not None:
+            return n
+    return None
+
+
+def _points_on_lines(family: LocalArcFamily, l1: int, l2: int) -> int | None:
+    """The point count of a family of distinct points on line l1 or l2
+    but not at their meet, at most one of each line in a set; None at
+    the first point that fails, and always when l1 == l2."""
+    plane = family.plane
+    n_points, incident = plane.n_points, plane.incident
+    meet = plane.meet(l1, l2)
+    seen = set()
+    for i in range(family.n_sets):
+        sides = 0
+        for pid in family.sets[i]:
+            if not 0 <= pid < n_points or pid == meet or pid in seen:
+                return None
+            side = 1 if incident(pid, l1) else 2 if incident(pid, l2) else 0
+            if not side or side & sides:
+                return None
+            sides |= side
+            seen.add(pid)
+    return len(seen)
 
 
 def _verify_sweep(family: LocalArcFamily) -> VerifyReport:
@@ -702,6 +770,16 @@ def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> Verify
     (the join of its first two points) and pairs_checked do not depend on
     how the test is computed.
 
+    A translation family is decided exactly first when that costs no
+    more than the samples asked for: when W = |U|^2 + |V|^2 +
+    C(b+1, 2)·|U|^2·k^3 (_translation_work, the work _verify_translates
+    states) is at most `samples`.  If _verify_translates accepts, every
+    pair of sets is compatible, so every sample passes, and the report
+    is the one the stream gives: ok, `samples` pairs checked, the seed.
+    If it rejects, the stream below runs as it would without it, so
+    every report, witness and error is still a function of (family,
+    samples, seed) alone, at an extra cost of at most W.
+
     The stream is split into contiguous shards of whole chunks, one per
     CPU in the affinity mask but none under _SHARD_MIN samples, and only
     where os.fork exists and no other thread runs (cores.cpus).  The
@@ -752,6 +830,10 @@ def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> Verify
         raise ValueError("the sample seed must lie in [0, 2**64)")
     if family.n_sets < 2:
         return VerifyReport(True, "sample", 0, seed=seed)
+    layout = family.translation
+    if (layout is not None and _translation_work(layout) <= samples
+            and _verify_translates(family).ok):
+        return VerifyReport(True, "sample", samples, seed=seed)
     shards = _shards(samples)
     with cores.Forks([cpu for _, _, cpu in shards]) as kids:
         for lo, hi, _ in shards[1:]:
@@ -765,6 +847,15 @@ def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> Verify
         raise RuntimeError(f"sets {list(pair)} pass the sampled check that "
                            f"the translation verdict rejected")
     return VerifyReport(False, "sample", t + 1, violation, seed=seed)
+
+
+def _translation_work(layout: TranslationLayout) -> int:
+    """W = |U|^2 + |V|^2 + C(b+1, 2)·|U|^2·k^3, the work _verify_translates
+    states for the layout, with |U - U| <= |U|^2 and k the largest of
+    its b base sets."""
+    nu, b = len(layout.us), len(layout.base)
+    k = max(map(len, layout.base), default=0)
+    return nu * nu + len(layout.vs) ** 2 + b * (b + 1) // 2 * nu * nu * k ** 3
 
 
 def _shards(samples: int) -> list[tuple[int, int, int | None]]:

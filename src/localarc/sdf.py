@@ -50,23 +50,26 @@ def is_sdf_mod(A, m: int) -> bool:
 def is_sdf_int(A) -> bool:
     """No positive pairwise difference is a perfect square.
 
-    Two scan strategies, chosen by cost: all pairs with an isqrt test, or
-    walking x + s over squares s inside the value range when the set is
-    dense enough for that to be cheaper.
+    Two scan strategies, chosen by cost: all pairs with an isqrt test, or,
+    when the set is dense enough for that to be cheaper, shift-ANDs on
+    its bitmask M (bit x - min(A) for each x): A is SDF exactly when
+    M & (M >> r^2) is 0 for every r up to isqrt(max(A) - min(A)).
     """
     elems = sorted(set(A))
     n = len(elems)
     if n < 2:
         return True
-    spread = elems[-1] - elems[0]
+    lo = elems[0]
+    spread = elems[-1] - lo
     n_squares = math.isqrt(spread)
     if n_squares < (n - 1) / 2:
-        present = set(elems)
+        bits = bytearray(spread // 8 + 1)
         for x in elems:
-            for r in range(1, n_squares + 1):
-                if x + r * r in present:
-                    return False
-        return True
+            x -= lo
+            bits[x >> 3] |= 1 << (x & 7)
+        mask = int.from_bytes(bits, "little")
+        return not any(mask & (mask >> (r * r))
+                       for r in range(1, n_squares + 1))
     for i in range(n - 1):
         for j in range(i + 1, n):
             d = elems[j] - elems[i]

@@ -302,10 +302,92 @@ def test_0_1_0_joins_the_conic_only_at_even_q(plane):
         assert _verify_sweep(fam).ok
 
 
-def test_ids_outside_the_plane_are_left_to_the_sweep():
-    for bad in (-1, P5.n_points, P5.n_points + 5):
-        fam = LocalArcFamily(P5, [(0, bad)])
-        assert verify_local_arc(fam) == _verify_sweep(fam)
+def test_ids_outside_the_plane_are_refused():
+    for bad in (-1, P5.n_points, P5.n_points + 5, 10**6):
+        for sets in ([(0, bad)], ((bad,), (1, 2))):
+            with pytest.raises(ValueError, match=r"outside \[0, 31\)"):
+                LocalArcFamily(P5, sets)
+    assert LocalArcFamily(P5, [(), (0, P5.n_points - 1)]).n_sets == 2
+
+
+def test_column_pair_seeds_are_line_pairs():
+    for p in (3, 5, 7, 11, 13):
+        fam = column_pair_seed(p)
+        rep = verify_local_arc(fam)
+        assert rep == VerifyReport(True, "line-pair", 2 * p), p
+        assert _verify_sweep(fam).ok
+
+
+def line_pair_families(plane, rng):
+    """Sets of one point of each of two random lines, off their meet, a
+    few of them one point only, then perturbed like random_family."""
+    l1, l2 = rng.sample(range(plane.n_lines), 2)
+    meet = plane.meet(l1, l2)
+    on1, on2 = ([p for p in plane.points_on(ln) if p != meet]
+                for ln in (l1, l2))
+    rng.shuffle(on1)
+    rng.shuffle(on2)
+    sets = [list(pair) for pair in zip(on1, on2)]
+    for st in sets[2:]:
+        if rng.random() < 0.2:
+            del st[rng.randrange(2)]
+    yield LocalArcFamily(plane, sets)
+    for how in ("random", "meet", "same-line", "repeat", "three"):
+        bad = [list(st) for st in sets]
+        st = bad[rng.randrange(len(bad))]
+        if how == "random":
+            st[0] = rng.randrange(plane.n_points)
+        elif how == "meet":
+            st[0] = meet
+        elif how == "same-line":
+            st[:] = rng.sample(on1 if rng.random() < 0.5 else on2, 2)
+        elif how == "repeat":
+            st[0] = rng.choice(rng.choice(bad))
+        else:
+            st.append(rng.randrange(plane.n_points))
+        yield LocalArcFamily(plane, bad)
+
+
+def test_line_pair_certificate_agrees_with_the_sweep():
+    rng = random.Random(20261021)
+    planes = [make_plane(q, "planar") for q in (3, 5, 7, 9, 11, 13)] + [
+        make_plane(q, "homogeneous") for q in (3, 4, 5, 7, 8, 9)]
+    modes = Counter()
+    for n in range(240):
+        for fam in line_pair_families(planes[n % len(planes)], rng):
+            rep, sweep = verify_local_arc(fam), _verify_sweep(fam)
+            if rep.mode == "line-pair":
+                assert sweep.ok and rep.pairs_checked == fam.total_points
+            else:
+                assert rep == sweep, (fam.plane, fam.sets)
+            modes[rep.mode, rep.ok] += 1
+    assert modes["line-pair", True] >= 240
+    assert min(modes["fast", True], modes["fast", False]) >= 50
+    assert set(modes) == {("line-pair", True), ("fast", True),
+                          ("fast", False)}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_column_pairs_with_a_planted_fault_are_left_to_the_sweep(p):
+    plane = make_plane(p, "planar")
+    pairs = [list(st) for st in column_pair_seed(p).sets]
+    ipt = plane.infinity_point  # the meet of the verticals [0] and [1]
+    planted = {
+        # two points of vertical [0] in the first set and in the last
+        "vertical, first set": [[0, 1]] + pairs[2:],
+        "vertical, last set": pairs[:-2] + [[p - 2, p - 1]],
+        # both pairings of the first two sets give vertical [0] twice
+        "one line": [[0, 1], [2, ipt]] + pairs[3:],
+        "meet": pairs[:-1] + [[p - 1, ipt]],
+        "third line": pairs[:-1] + [[p - 1, 2 * p]],
+        "repeat": pairs[:-1] + [[p - 1, pairs[0][1]]],
+    }
+    for name, sets in planted.items():
+        fam = LocalArcFamily(plane, sets)
+        want = _verify_sweep(fam)
+        assert want.mode == "fast" and verify_local_arc(fam) == want, name
+        # at p = 3 the point (2, 0) completes no collinear triple
+        assert want.ok == (name == "third line" and p == 3), name
 
 
 def test_sample_verify_is_deterministic_and_replayable():
@@ -1107,6 +1189,73 @@ def test_the_caller_leaves_the_chunks_children_passed(force_shards,
             assert_no_children()
             # shard 0, and the failing pair re-run here
             assert len(lookups) == 2 * first_hi + 2 * len(ts), (n, ts)
+
+
+def test_sample_verify_takes_the_exact_verdict_when_it_costs_less(
+        force_shards, monkeypatch, case2_625):
+    fam = case2_625
+    # W = |U|^2 + |V|^2 + C(b+1, 2)·|U|^2·k^3 = 1 + 625 + 325·8
+    work = arcs_mod._translation_work(fam.translation)
+    assert work == 3226
+    calls = []
+    fork_shard = arcs_mod._fork_shard
+
+    def recorded(*args):
+        calls.append(args[3:])
+        return fork_shard(*args)
+
+    monkeypatch.setattr(arcs_mod, "_fork_shard", recorded)
+    for samples in (SHARD_SAMPLES, work - 1, work, work + _CHUNK):
+        expected = reference_sample_verify(fam, samples, seed=6)
+        assert expected == VerifyReport(True, "sample", samples, seed=6)
+        for n in (1, 2, 3, 4):
+            force_shards(n, samples)
+            calls.clear()
+            assert sample_verify(fam, samples, seed=6) == expected
+            assert_no_children()
+            # below W the stream runs in n shards; from W on no child is
+            # forked
+            assert len(calls) == (n - 1 if samples < work else 0), (
+                samples, n)
+
+
+def test_sampled_pairs_below_the_exact_cost_build_no_set(monkeypatch,
+                                                         case2_625):
+    # the accepted case-1 lift of
+    # test_sampled_translation_pairs_build_sets_only_to_name_a_violation
+    # takes the exact verdict at 2,000 samples (W = 242); below W the
+    # sampled translation path builds no set either
+    looked_up = []
+    lookup = _Translates.__getitem__
+
+    def counted(self, i):
+        looked_up.append(i)
+        return lookup(self, i)
+
+    monkeypatch.setattr(_Translates, "__getitem__", counted)
+    assert arcs_mod._translation_work(case2_625.translation) > SHARD_SAMPLES
+    assert sample_verify(case2_625, SHARD_SAMPLES, seed=3).ok
+    assert looked_up == []
+
+
+def test_a_rejected_cheap_translation_family_is_still_sampled(
+        force_shards):
+    samples = 8 * _CHUNK
+    wide = lift_prime(EX1_SEED, BASIS_5, 1031, check=False)
+    lift = lift_prime(generic_k_arc(2), BASIS_5, 1777)
+    lay = lift.translation
+    extra = LocalArcFamily.translates(
+        lift.plane, TranslationLayout(lay.base, lay.us, lay.vs + (1767,)))
+    for fam, seed in ((wide, 2), (wide, 23), (extra, 10)):
+        assert arcs_mod._translation_work(fam.translation) <= samples
+        assert not verify_local_arc(fam).ok
+        # the report names the stream's first failing pair
+        expected = reference_sample_verify(fam, samples, seed=seed)
+        assert not expected.ok and expected.pairs_checked > _CHUNK
+        for n in (1, 2, 4):
+            force_shards(n, samples)
+            assert sample_verify(fam, samples, seed=seed) == expected
+            assert_no_children()
 
 
 def test_sample_seeds_outside_the_stream_range_are_refused():

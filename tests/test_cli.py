@@ -364,6 +364,27 @@ def test_construct_case1(capsys):
     assert res["num_sets"] == 55 and res["q"] == 121
 
 
+def test_sampled_case3_over_gf_131_cubed_reports_its_samples(capsys):
+    # 100,000 samples cost more than the exact translation check, which
+    # accepts, so the report is the one the sample stream gives
+    argv = ["construct", "--method", "case3", "--p", "131", "--m", "3",
+            "--M1", "8", "--M2", "6", "--alphabet", "1,3",
+            "--verify", "sample:100000:0"]
+    provenance = "conic_seed(p=131,k=2)|case3(p=131,m=3,M1=8,M2=6,|A|=2)"
+    assert run(argv) == EXIT_OK
+    assert capsys.readouterr().out == (
+        f"q=2248091 sets=17030 k=2 verification=sampled 100000 pairs "
+        f"provenance={provenance}\n")
+    assert run(argv + ["--format", "json"]) == EXIT_OK
+    res = json.loads(capsys.readouterr().out)
+    assert res.pop("verify_s") >= 0
+    assert res == {"q": 2248091, "num_sets": 17030, "k": 2,
+                   "provenance": provenance,
+                   "verification": "sampled 100000 pairs",
+                   "verify_mode": "sample", "pairs_checked": 100000,
+                   "out": None}
+
+
 def test_json_reports_verification_mode_pairs_and_time(tmp_path, capsys):
     # a translation lift is decided exactly from its layout
     out = tmp_path / "case1.json"

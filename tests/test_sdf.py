@@ -1,3 +1,8 @@
+import itertools
+import math
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,3 +153,63 @@ def test_mod_verdict_matches_definition(m, data):
     squares = {z * z % m for z in range(m)}
     naive = all((a - b) % m not in squares for a in A for b in A if a != b)
     assert is_sdf_mod(A, m) == naive
+
+
+def pairwise_sdf(A):
+    """The definition: no difference of two distinct elements is a
+    square."""
+    return not any(math.isqrt(b - a) ** 2 == b - a
+                   for a, b in itertools.combinations(sorted(set(A)), 2))
+
+
+def takes_the_mask(A):
+    """True where is_sdf_int shifts a bitmask instead of testing pairs."""
+    xs = sorted(set(A))
+    return len(xs) > 1 and math.isqrt(xs[-1] - xs[0]) < (len(xs) - 1) / 2
+
+
+DIGIT_SETS = [(basis, t, sorted(digit_construct(basis, t)))
+              for basis, t in ((BASIS_5, 2), (BASIS_5, 4), (BASIS_5, 6),
+                               (SdfBasis(13, (0, 2)), 2),
+                               (SdfBasis(13, (0, 5)), 2))]
+
+
+def test_is_sdf_int_branches_agree_with_the_pair_check():
+    rng = random.Random(20261021)
+    seen = Counter()
+    for n in range(900):
+        _, _, digits = DIGIT_SETS[n % len(DIGIT_SETS)]
+        if n % 3 == 2:
+            size = rng.randint(2, 40)
+            lo = rng.randint(-500, 500)
+            spread = rng.choice((size, size * size // 4, 3 * size * size))
+            A = {lo + rng.randint(0, spread) for _ in range(size)}
+        else:
+            # a subset of a digit set, with a square difference planted
+            # on every other pass
+            A = set(rng.sample(digits, rng.randint(2, min(len(digits), 90))))
+            if n % 3:
+                A.add(rng.choice(sorted(A)) + rng.randint(1, 30) ** 2)
+        want = pairwise_sdf(A)
+        assert is_sdf_int(A) == want, sorted(A)
+        seen[takes_the_mask(A), want] += 1
+    # both branches say yes and no
+    assert len(seen) == 4 and min(seen.values()) >= 25, seen
+
+
+def test_is_sdf_int_on_digit_construct_outputs():
+    rng = random.Random(7)
+    for basis, t, digits in DIGIT_SETS:
+        assert is_sdf_int(digits) and pairwise_sdf(digits), (basis, t)
+        assert takes_the_mask(digits), (basis, t)
+        # a square difference at the bottom, in the middle and at the top
+        for x in (digits[0], rng.choice(digits), digits[-1]):
+            for r in (1, 2, rng.randint(3, 60)):
+                if x + r * r not in digits:
+                    assert not is_sdf_int(digits + [x + r * r]), (
+                        basis, t, x, r)
+    # the sparse branch on the same sets thinned out
+    thin = DIGIT_SETS[2][2][::40]
+    assert not takes_the_mask(thin)
+    assert is_sdf_int(thin) and pairwise_sdf(thin)
+    assert not is_sdf_int(thin + [thin[3] + 49])
