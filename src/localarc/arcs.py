@@ -7,7 +7,8 @@ line).  Verification comes in three flavours:
 * verify_local_arc        -- exact.  A family built as all translates of
                              a base (LocalArcFamily.translates, which keeps
                              the TranslationLayout) is decided from the base
-                             and the difference set T - T.  A family whose
+                             and the difference set T - T, summed over the
+                             places of its offsets (Offsets).  A family whose
                              distinct points all lie on the conic
                              x1^2 = x0 x2 (or, for even q, its nucleus) is
                              accepted in one pass over its points: it sits
@@ -27,11 +28,8 @@ line).  Verification comes in three flavours:
                              no more than the samples is decided exactly
                              first; an accepted one reports what the
                              samples would.  Otherwise the pairs come
-                             from a counter-based stream
-                             computed a packed chunk at a time, cut into
-                             shards that forked children scan on the
-                             other CPUs; the report does not depend on
-                             the shard count.  A
+                             from a counter-based stream computed a packed
+                             chunk at a time.  A
                              translation family decides a pair from its
                              base: 2k·C(k, 2) multiplications once per
                              (si, sj, du), then, inline, two divmods per
@@ -54,13 +52,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import os
+import math
 import sys
 from array import array
 from collections import Counter
 from typing import Iterator, NamedTuple, Sequence
 
-from localarc import cores
 from localarc.gf import make_field
 from localarc.plane import Plane
 
@@ -70,6 +67,7 @@ __all__ = [
     "NotVerified",
     "Violation",
     "VerifyReport",
+    "Offsets",
     "TranslationLayout",
     "LocalArcFamily",
     "is_arc",
@@ -152,15 +150,35 @@ def secants_of(plane: Plane, points) -> tuple[int, ...]:
     return tuple(sorted(seen))
 
 
+class Offsets(tuple):
+    """Offsets that keep their places: every sum of one element of each
+    place, sorted, a sum reached twice listed twice.
+
+    Every lift's offsets are such sums, y_i·m^i over the digit places of
+    the prime lift and c_i·alpha^i for cases 1-3.  ``places`` keeps each
+    place's elements as field encodings, so that T - T is the sum over
+    places of P - P.  A plain tuple of offsets is one place.
+    """
+
+    def __new__(cls, add, places):
+        places = tuple(map(tuple, places))
+        sums = [0]
+        for place in places:
+            sums = [add(s, x) for s in sums for x in place]
+        self = super().__new__(cls, sorted(sums))
+        self.places = places
+        return self
+
+
 class TranslationLayout:
     """A planar family listed as every translate of a base in AG(2, q).
 
     Set (iu * len(vs) + iv) * len(base) + si of the family is base[si]
     moved by (us[iu], vs[iv]): translation-major, u before v.  ``base``
-    holds affine (x, y) coordinates and ``us`` and ``vs`` the offsets, all
-    as field encodings of the family's plane; an offset listed twice lists
-    every set twice.  Not a NamedTuple: its len() and index() would clash
-    with a tuple's.
+    holds affine (x, y) coordinates and ``us`` and ``vs`` the offsets, a
+    tuple or an Offsets, all as field encodings of the family's plane; an
+    offset listed twice lists every set twice.  Not a NamedTuple: its
+    len() and index() would clash with a tuple's.
     """
 
     __slots__ = ("base", "us", "vs")
@@ -468,22 +486,53 @@ def _verify_sweep(family: LocalArcFamily) -> VerifyReport:
     return VerifyReport(True, "fast", n * (n - 1) // 2)
 
 
-def _differences(add, neg, offsets):
-    """Each difference w - u of two offsets -> the first index pair
-    (of u, of w) that gives it, the difference 0 first, as (0, 0); and
-    the index pair a < b of two equal offsets, or None."""
-    offs = list(offsets)
-    out: dict[int, tuple[int, int]] = {}
-    twin = None
-    for a, u in enumerate(offs):
-        minus_u = neg(u)
-        for b, w in enumerate(offs):
-            d = add(w, minus_u)
-            if d not in out:
-                out[d] = (a, b)
-            elif d == 0 and a < b and twin is None:
-                twin = (a, b)
-    return out, twin
+def _differences(f, offsets, limit):
+    """(T - T, work) for the offsets T, as a set; None once the work would
+    pass limit, before it is done.
+
+    T - T is the sum over T's places of P - P: each P - P is listed
+    pairwise, |P|^2 subtractions, and added to the sum D of those before
+    it, |D|·|P - P| additions.  Offsets of at most one place are listed
+    pairwise, |T|^2 subtractions."""
+    places = getattr(offsets, "places", ())
+    if len(places) < 2:
+        places = (offsets,)
+    work = sum(len(place) ** 2 for place in places)
+    if work > limit:
+        return None
+    total = None
+    for place in places:
+        diffs = {f.sub(w, u) for u in place for w in place}
+        if total is not None:
+            work += len(total) * len(diffs)
+            if work > limit:
+                return None
+            diffs = {f.add(d, e) for d in total for e in diffs}
+        total = diffs
+    return total, work
+
+
+def _twin(sub, offsets):
+    """The first index pair a < b of two equal offsets, or None."""
+    first: dict[int, int] = {}
+    return min(((first[k], b) for b, v in enumerate(offsets)
+                if first.setdefault(k := sub(v, 0), b) != b), default=None)
+
+
+def _first_pair(sub, offsets, wanted):
+    """(d, (a, b), rank) for the first difference d = offsets[b] -
+    offsets[a] in `wanted`, the index pairs (a, b) taken in order: (a, b)
+    is the first pair giving d, and rank the number of distinct
+    differences before it.  Pairwise, so called only to name a
+    rejection."""
+    seen = set()
+    for a, u in enumerate(offsets):
+        for b, w in enumerate(offsets):
+            d = sub(w, u)
+            if d in wanted:
+                return d, (a, b), len(seen)
+            seen.add(d)
+    raise RuntimeError("no wanted difference is one of the offsets'")
 
 
 def _secant_table(plane: Plane, base_set):
@@ -540,7 +589,8 @@ def _bad_dv(f, base_i, secants_i, base_j, secants_j, d_u):
     return every, bad
 
 
-def _verify_translates(family: LocalArcFamily) -> VerifyReport:
+def _verify_translates(family: LocalArcFamily,
+                       limit: float = math.inf) -> VerifyReport | None:
     """Exact check of a translation family from its base and T - T.
 
     Translations (x, y) -> (x+u, y+v) are collineations of the planar
@@ -550,8 +600,11 @@ def _verify_translates(family: LocalArcFamily) -> VerifyReport:
     D = (U - U) x (V - V).  Checking each base set alone (i = j,
     delta = 0) and every base pair i <= j at every other delta decides
     the family; pairs_checked counts these (i, j, delta) checks.  The
-    work is about |U|^2 + |V|^2 + C(b+1, 2)·|U-U|·k^3 set lookups, below
-    the C(n, 2) point pairs of a sweep over the n = b·|U|·|V|·k points.
+    work is W (_translation_work): U - U and V - V summed over the
+    places of the offsets, and C(b+1, 2)·|U-U| rows of about k^3 field
+    operations, below the C(n, 2) point pairs of a sweep over the
+    n = b·|U|·|V|·k points.  When W passes `limit` this returns None,
+    having done at most `limit` of it.
 
     Overlaps are looked for first, over all of them, as the sweep does.
     For arcs S_i and S_j + delta that are disjoint, three collinear
@@ -560,16 +613,23 @@ def _verify_translates(family: LocalArcFamily) -> VerifyReport:
     secant [a, b] of S_i, or a point of S_i - delta on a secant of S_j,
     solve a single equation each, so every dv of V - V is decided by
     one set lookup.  A rejection names two real sets through the
-    layout, and its witness is taken from those sets.
+    layout, and its witness is taken from those sets.  The (i, j, delta)
+    checks are counted in the order of the pairwise listing of U - U and
+    of V - V, each difference at the first index pair giving it, so a
+    failing difference's pair and its place in that order are looked up
+    (_first_pair) once it is found.
     """
     plane = family.plane
     f = plane.field
-    add, sub = f.add, f.sub
+    sub = f.sub
     layout = family.translation
     base = layout.base
     b = len(base)
-    du, twin_u = _differences(add, f.neg, layout.us)
-    dv, twin_v = _differences(add, f.neg, layout.vs)
+    got = _translation_work(f, layout, limit)
+    if got is None:
+        return None
+    _, du, dv = got
+    twin_u, twin_v = _twin(sub, layout.us), _twin(sub, layout.vs)
     filled = [si for si, s in enumerate(base) if s]
     if (twin_u or twin_v) and filled:
         # an offset listed twice lists every base set twice
@@ -579,8 +639,8 @@ def _verify_translates(family: LocalArcFamily) -> VerifyReport:
         return VerifyReport(False, "translation", 0,
                             _named_violation(family, named))
 
-    def reject(done, si, sj, d_u, d_v):
-        (iu, ju), (iv, jv) = du[d_u], dv[d_v]
+    def reject(done, si, sj, pair_u, pair_v):
+        (iu, ju), (iv, jv) = pair_u, pair_v
         named = sorted({layout.index(si, iu, iv), layout.index(sj, ju, jv)})
         return VerifyReport(False, "translation", done,
                             _named_violation(family, named))
@@ -597,28 +657,32 @@ def _verify_translates(family: LocalArcFamily) -> VerifyReport:
                 for xj, yj in base[sj]:
                     d_u, d_v = sub(xi, xj), sub(yi, yj)
                     if d_u in du and d_v in dv and (si != sj or d_u or d_v):
-                        return reject(b, si, sj, d_u, d_v)
+                        return reject(b, si, sj,
+                                      _first_pair(sub, layout.us, {d_u})[1],
+                                      _first_pair(sub, layout.vs, {d_v})[1])
 
-    dv_keys = list(dv)
-    dv_pos = {d: i for i, d in enumerate(dv_keys)}
     done = b
     for si in range(b):
         for sj in range(si, b):
+            start, failing = done, {}  # d_u -> the dv that fail with it
             for d_u in du:
                 every, bad = _bad_dv(f, base[si], secants[si],
                                      base[sj], secants[sj], d_u)
                 # (i, i, 0) is the single-set check made above
                 skip = si == sj and d_u == 0
+                hits = dv if every else dv.intersection(bad)
                 if skip:
-                    bad.discard(0)
-                hits = [dv_pos[d] for d in bad if d in dv_pos]
-                if every and len(dv_keys) > skip:
-                    hits.append(int(skip))
+                    hits = hits - {0}
                 if hits:
-                    first = min(hits)
-                    return reject(done + first + 1 - skip, si, sj, d_u,
-                                  dv_keys[first])
-                done += len(dv_keys) - skip
+                    failing[d_u] = hits
+                done += len(dv) - skip
+            if failing:
+                d_u, pair_u, rank_u = _first_pair(sub, layout.us, failing)
+                _, pair_v, rank_v = _first_pair(sub, layout.vs, failing[d_u])
+                # rank_u rows of len(dv) checks before, less the one
+                # skipped (i, i, 0) check when i == j
+                done = start + rank_u * len(dv) + rank_v + 1 - (si == sj)
+                return reject(done, si, sj, pair_u, pair_v)
     return VerifyReport(True, "translation", done)
 
 
@@ -750,10 +814,6 @@ def _first_collinear(pts, sub, mul):
 # (si, sj, du) keys whose (every, bad) _first_failure keeps; past it they
 # are recomputed on each use
 _BAD_DV_KEYS = 1 << 15
-# fewest samples a shard of the stream gets: a fork and pipe round trip
-# costs 1-2 ms, as much as 1,000-2,000 samples, and each child builds
-# its own _bad_dv cache
-_SHARD_MIN = 25_000
 
 
 def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> VerifyReport:
@@ -771,31 +831,14 @@ def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> Verify
     how the test is computed.
 
     A translation family is decided exactly first when that costs no
-    more than the samples asked for: when W = |U|^2 + |V|^2 +
-    C(b+1, 2)·|U|^2·k^3 (_translation_work, the work _verify_translates
-    states) is at most `samples`.  If _verify_translates accepts, every
-    pair of sets is compatible, so every sample passes, and the report
-    is the one the stream gives: ok, `samples` pairs checked, the seed.
-    If it rejects, the stream below runs as it would without it, so
-    every report, witness and error is still a function of (family,
+    more than the samples asked for: when W (_translation_work, the work
+    _verify_translates states) is at most `samples`; finding that W is
+    larger costs at most `samples` too.  If _verify_translates accepts,
+    every pair of sets is compatible, so every sample passes, and the
+    report is the one the stream gives: ok, `samples` pairs checked, the
+    seed.  If it rejects, the stream below runs as it would without it,
+    so every report, witness and error is still a function of (family,
     samples, seed) alone, at an extra cost of at most W.
-
-    The stream is split into contiguous shards of whole chunks, one per
-    CPU in the affinity mask but none under _SHARD_MIN samples, and only
-    where os.fork exists and no other thread runs (cores.cpus).  The
-    caller forks a child per shard but the first, each pinned to its own
-    CPU of the mask (cores.Forks).  A child scans its shard a chunk at a
-    time from the top down and writes to a pipe, per chunk, that it
-    passed, or the index of its first pair that does not pass, and then
-    exits.  The caller scans the whole stream a chunk at
-    a time from the bottom up, skipping the chunks a child has reported
-    passed, and re-runs in process the pair a child reports failing,
-    then the rest of its chunk should that pair pass here.  So the
-    caller never waits on a child: a child on a busy CPU, or one that
-    dies, leaves its chunks to the caller, and the report (and the
-    RuntimeError below) is built here and is the same at every shard
-    count.  Every child is killed and reaped before this returns or
-    raises.
 
     Each union point is mapped to its homogeneous triple once
     (Plane.coords).  A triple whose first point is affine is decided by
@@ -816,7 +859,7 @@ def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> Verify
     costs 2k·C(k, 2) multiplications once per unordered (si, sj, ±du):
     swapping the two sets negates du and every flagged dv, so each
     _bad_dv result is cached for both orders, for the first _BAD_DV_KEYS
-    keys of a process.  An accepted sample then costs a share of one
+    keys of a call.  An accepted sample then costs a share of one
     packed chunk of draws, two reductions of its draws, four divmods
     decoding the set numbers as TranslationLayout.locate does, two field
     subtractions and one lookup, all inline.  Pairs it flags, and pairs
@@ -830,16 +873,11 @@ def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> Verify
         raise ValueError("the sample seed must lie in [0, 2**64)")
     if family.n_sets < 2:
         return VerifyReport(True, "sample", 0, seed=seed)
-    layout = family.translation
-    if (layout is not None and _translation_work(layout) <= samples
-            and _verify_translates(family).ok):
+    exact = (family.translation is not None
+             and _verify_translates(family, samples))
+    if exact and exact.ok:
         return VerifyReport(True, "sample", samples, seed=seed)
-    shards = _shards(samples)
-    with cores.Forks([cpu for _, _, cpu in shards]) as kids:
-        for lo, hi, _ in shards[1:]:
-            _fork_shard(kids, family, seed, lo, hi)
-        found = _first_failure(family, seed, _unreported(
-            samples, [r for _, r, _ in kids.children]))
+    found = _first_failure(family, seed, samples)
     if found is None:
         return VerifyReport(True, "sample", samples, seed=seed)
     t, pair, violation = found
@@ -849,90 +887,28 @@ def sample_verify(family: LocalArcFamily, samples: int, seed: int = 0) -> Verify
     return VerifyReport(False, "sample", t + 1, violation, seed=seed)
 
 
-def _translation_work(layout: TranslationLayout) -> int:
-    """W = |U|^2 + |V|^2 + C(b+1, 2)·|U|^2·k^3, the work _verify_translates
-    states for the layout, with |U - U| <= |U|^2 and k the largest of
+def _translation_work(f, layout: TranslationLayout, limit: float = math.inf):
+    """(W, U - U, V - V) for the layout over the field f, or None once W
+    is seen to pass limit, having done at most `limit` of it.
+
+    W is the work _verify_translates does: listing U - U and V - V
+    (_differences: |T|^2 for offsets of at most one place, and for more
+    the sum of |P|^2 over places P and of |D|·|P - P| over the partial
+    sums D), plus C(b+1, 2)·|U - U|·k^3 for its rows, k the largest of
     its b base sets."""
-    nu, b = len(layout.us), len(layout.base)
-    k = max(map(len, layout.base), default=0)
-    return nu * nu + len(layout.vs) ** 2 + b * (b + 1) // 2 * nu * nu * k ** 3
+    got_u = _differences(f, layout.us, limit)
+    got_v = got_u and _differences(f, layout.vs, limit - got_u[1])
+    if not got_v:
+        return None
+    (du, work_u), (dv, work_v) = got_u, got_v
+    b, k = len(layout.base), max(map(len, layout.base), default=0)
+    work = work_u + work_v + b * (b + 1) // 2 * len(du) * k ** 3
+    return None if work > limit else (work, du, dv)
 
 
-def _shards(samples: int) -> list[tuple[int, int, int | None]]:
-    """The sample stream cut into contiguous [lo, hi) ranges of whole
-    chunks, one per shard, each with a CPU of the affinity mask to scan
-    it on (None where the stream is not split)."""
-    cpus = cores.cpus(samples // _SHARD_MIN)
-    # no shard is empty: n <= samples // _SHARD_MIN, and _SHARD_MIN >= _CHUNK
-    chunks, n = -(-samples // _CHUNK), len(cpus)
-    cuts = [min(samples, chunks * i // n * _CHUNK) for i in range(n + 1)]
-    return list(zip(cuts, cuts[1:], cpus))
-
-
-def _fork_shard(kids: cores.Forks, family: LocalArcFamily, seed: int,
-                lo: int, hi: int):
-    """kids.fork() of a child that scans pairs [lo, hi) a chunk at a time
-    from the top down, writes b"first -1\n" for each chunk starting at
-    pair `first` that passes, or b"first t\n" for the first pair t that
-    does not pass and stops there."""
-    child = kids.fork()
-    if child is not None and child[0] == 0:
-        try:  # never print, never return into the caller's stack
-            w = child[2]
-            found = _first_failure(family, seed, _reporting(w, lo, hi))
-            if found is not None:
-                t = found[0]
-                os.write(w, b"%d %d\n" % (t - t % _CHUNK, t))
-        finally:
-            os._exit(0)
-    return child
-
-
-def _reporting(fd: int, lo: int, hi: int):
-    """The chunks of pairs [lo, hi) from the top down, as [first, stop)
-    ranges; each is reported passed to fd once the next is asked for."""
-    passed = None
-    for first in reversed(range(lo, hi, _CHUNK)):
-        if passed is not None:
-            os.write(fd, b"%d -1\n" % passed)
-        yield first, min(hi, first + _CHUNK)
-        passed = first
-    os.write(fd, b"%d -1\n" % passed)
-
-
-def _unreported(samples: int, fds: list[int]):
-    """The chunks of the stream from the bottom up, as [first, stop)
-    ranges, skipping those that the children writing to fds have
-    reported passed; a chunk reported failing at pair t gives (t, t + 1),
-    then, should that pair pass, the whole chunk.  The pipes are read,
-    without waiting, before each chunk."""
-    reports, tails = {}, dict.fromkeys(fds, b"")
-    for first in range(0, samples, _CHUNK):
-        for fd in list(tails):
-            try:
-                data = os.read(fd, 4096)
-            except BlockingIOError:
-                continue
-            if not data:  # the child has ended
-                del tails[fd]
-                continue
-            *lines, tails[fd] = (tails[fd] + data).split(b"\n")
-            for line in lines:
-                chunk, t = map(int, line.split())
-                reports[chunk] = t
-        stop = min(samples, first + _CHUNK)
-        t = reports.get(first)
-        if t == -1:
-            continue
-        if t is not None:
-            yield t, t + 1
-        yield first, stop
-
-
-def _first_failure(family: LocalArcFamily, seed: int, ranges):
-    """(t, sorted set pair, violation) of the first pair t of the sample
-    stream that does not pass, scanning the [start, stop) ranges in the
-    order given, or None.  The violation is None for a pair that _bad_dv
+def _first_failure(family: LocalArcFamily, seed: int, samples: int):
+    """(t, sorted set pair, violation) of the first of the sample
+    stream's first `samples` pairs that does not pass, or None.  The violation is None for a pair that _bad_dv
     flags but the full treatment passes."""
     s = family.n_sets
     plane = family.plane
@@ -949,10 +925,8 @@ def _first_failure(family: LocalArcFamily, seed: int, ranges):
         cache: dict = {}
     s1 = s - 1
     flagged = False
-    pairs = itertools.chain.from_iterable(
-        enumerate(itertools.chain.from_iterable(
-            _draw_pairs(seed, stop, start)), start)
-        for start, stop in ranges)
+    pairs = enumerate(itertools.chain.from_iterable(
+        _draw_pairs(seed, samples)))
     for t, (a, b) in pairs:
         a %= s
         b %= s1

@@ -34,6 +34,7 @@ from typing import NamedTuple
 from localarc.arcs import (
     LocalArcFamily,
     NotVerified,
+    Offsets,
     TranslationLayout,
     sample_verify,  # noqa: F401  (perfbench's tracer rebinds this name)
     secants_of,
@@ -46,7 +47,13 @@ from localarc.gf import (
     make_field,
 )
 from localarc.plane import Plane, make_plane
-from localarc.sdf import BASIS_5, SdfBasis, digit_construct, sdf_subset
+from localarc.sdf import (
+    BASIS_5,
+    SdfBasis,
+    digit_construct,
+    digit_places,
+    sdf_subset,
+)
 
 __all__ = [
     "KTooLarge",
@@ -338,12 +345,6 @@ def _plan(plane: Plane, layout: TranslationLayout, k: int, expected: int,
     return _verified(fam) if check else fam
 
 
-def _sorted_layout(coords, us, vs) -> TranslationLayout:
-    """Translates by T = us x vs in sorted (u, v) order, so the set order
-    is reproducible."""
-    return TranslationLayout(coords, tuple(sorted(us)), tuple(sorted(vs)))
-
-
 def _affine_coords(fam: LocalArcFamily) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Seed sets as (x, y) encoding pairs, the base of a translation lift.
 
@@ -406,18 +407,22 @@ def _lift_layout(p: int, seed_sets, params: LiftParams) -> TranslationLayout:
     """The digit lift as translates of the scaled seed over GF(p).
 
     Seed point (x, y) scales to (x m^(t/2), y m^t); x-offsets run over
-    [-B, B] and y-offsets over the SDF digit values, both ascending, so
-    set order is canonical.
+    [-B, B] and y-offsets over the SDF digit values, ascending, so set
+    order is canonical.  The y-offsets keep their digit places, and list
+    the values digit_construct builds and checks.
     """
-    m, t, B = params.basis.m, params.t, params.B
+    basis = params.basis
+    m, t, B = basis.m, params.t, params.B
     mt2 = m ** (t // 2)
     mt = mt2 * mt2
     base = tuple(
         tuple(((x * mt2) % p, (y * mt) % p) for x, y in s) for s in seed_sets
     )
     us = tuple(u % p for u in range(-B, B + 1))
-    return TranslationLayout(base, us,
-                             tuple(sorted(digit_construct(params.basis, t))))
+    vs = Offsets(make_field(p).add, digit_places(basis, t))
+    if list(vs) != sorted(digit_construct(basis, t)):
+        raise NotVerified("the digit places do not sum to the digit set")
+    return TranslationLayout(base, us, vs)
 
 
 def lift_prime(
@@ -470,7 +475,7 @@ def case1_lift(seed: LocalArcFamily, check: bool = True) -> LocalArcFamily:
     alpha = up.from_coeffs((0, 1))  # the polynomial generator x
     vs = _poly_values(up, alpha, [(1, range(p))])
     note = (seed.provenance + "|" if seed.provenance else "") + f"case1(p={p})"
-    return _plan(plane, _sorted_layout(coords, [0], vs), seed.k,
+    return _plan(plane, TranslationLayout(coords, (0,), vs), seed.k,
                  seed.n_sets * p, note, check)
 
 
@@ -512,19 +517,18 @@ def case2_lift(seed: LocalArcFamily, t: int, check: bool = True) -> LocalArcFami
     g_vals = _poly_values(tw, alpha, g_alphabets)
     expected = seed.n_sets * (p ** (5 * (s - 1)) if t % 2 else p ** (5 * s - 3))
     note = (seed.provenance + "|" if seed.provenance else "") + f"case2(p={p},t={t})"
-    return _plan(plane, _sorted_layout(coords, f_vals, g_vals), seed.k,
+    return _plan(plane, TranslationLayout(coords, f_vals, g_vals), seed.k,
                  expected, note, check)
 
 
-def _poly_values(field: Field, alpha: int, alphabets) -> list[int]:
-    """All sums of c_i * alpha^i, c_i running over the alphabet of each
-    (i, alphabet) place, in the order of the digit tuples."""
-    vals = [0]
+def _poly_values(field: Field, alpha: int, alphabets) -> Offsets:
+    """The sums of c_i * alpha^i, c_i running over the alphabet of each
+    (i, alphabet) place, as Offsets: sorted, with their places."""
+    places = []
     for i, alphabet in alphabets:
         a_i = field.pow(alpha, i)
-        terms = [field.mul(c, a_i) for c in alphabet]
-        vals = [field.add(v, term) for v in vals for term in terms]
-    return vals
+        places.append([field.mul(c, a_i) for c in alphabet])
+    return Offsets(field.add, places)
 
 
 def choose_M1_M2(t: int, eps: float = 1e-6) -> tuple[float, float]:
@@ -615,7 +619,7 @@ def case3_lift(
     note = (seed.provenance + "|" if seed.provenance else "") + (
         f"case3(p={p},m={m},M1={M1:g},M2={M2:g},|A|={len(alphabet)})"
     )
-    return _plan(plane, _sorted_layout(coords, f_vals, g_vals), seed.k,
+    return _plan(plane, TranslationLayout(coords, f_vals, g_vals), seed.k,
                  expected, note, check)
 
 

@@ -1,11 +1,11 @@
 """Work split across CPU cores by children forked from the caller.
 
-sample_verify and exact_max each cut their work between the calling
-process and children forked from it, one per other CPU of the affinity
-mask.  In both the caller never waits on a child: a child reports what it
-has done through a pipe, the caller takes a report only where it is what
-the caller would have computed itself, and does the rest itself, so the
-result is the same at every CPU count.
+exact_max cuts its work between the calling process and children forked
+from it, one per other CPU of the affinity mask.  The caller never waits
+on a child: a child reports what it has done through a pipe, the caller
+takes a report only where it is what the caller would have computed
+itself, and does the rest itself, so the result is the same at every CPU
+count.
 
 cpus lists the CPUs to use; Forks starts the children and is the one
 place that ends them.  Each child is pinned to its own CPU of the mask:
@@ -26,16 +26,14 @@ __all__ = ["cpus", "Forks"]
 _SIGKILL = 9
 
 
-def cpus(most: int | None = None) -> list[int | None]:
-    """The first `most` CPUs of the affinity mask (at least one, all of
-    them by default), one per process that may work at once, the caller's
-    first; [None] where no child may be forked: os.fork or
-    sched_getaffinity is missing, or another thread runs, which a fork
+def cpus() -> list[int | None]:
+    """The CPUs of the affinity mask, one per process that may work at
+    once, the caller's first; [None] where no child may be forked: os.fork
+    or sched_getaffinity is missing, or another thread runs, which a fork
     would copy half-way, locks it holds held for good."""
     if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and threading.active_count() == 1):
-        mask = sorted(os.sched_getaffinity(0))
-        return mask if most is None else mask[:max(1, most)]
+        return sorted(os.sched_getaffinity(0))
     return [None]
 
 

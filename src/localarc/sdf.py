@@ -24,6 +24,7 @@ __all__ = [
     "is_sdf_mod",
     "is_sdf_int",
     "digit_construct",
+    "digit_places",
     "max_sdf_bruteforce",
     "sdf_subset",
 ]
@@ -133,6 +134,15 @@ def digit_construct(basis: SdfBasis, t: int) -> set[int]:
     return out
 
 
+def digit_places(basis: SdfBasis, t: int) -> list[list[int]]:
+    """The places of digit_construct(basis, t), lowest first: y·m^i for
+    y in A at even i and 0 <= y < m at odd i, so that its values are the
+    sums of one element of each place."""
+    m, A = basis.m, basis.A
+    return [[y * m**i for y in (A if i % 2 == 0 else range(m))]
+            for i in range(t)]
+
+
 def max_sdf_bruteforce(N: int) -> tuple[int, tuple[int, ...]]:
     """Maximum SDF subset of {1,...,N} with its lexicographically
     smallest witness; include-first depth-first search with a
@@ -200,10 +210,7 @@ def _bounded_digits(basis: SdfBasis, t: int, limit: int) -> list[int]:
     """The digit values of digit_construct(basis, t) that are <= limit,
     ascending; built top digit first, so out-of-range prefixes are cut
     early."""
-    m, A = basis.m, basis.A
     out = [0]
-    for i in range(t - 1, -1, -1):
-        scale = m**i
-        digits = A if i % 2 == 0 else range(m)
-        out = [v for x in out for d in digits if (v := x + d * scale) <= limit]
+    for place in reversed(digit_places(basis, t)):
+        out = [v for x in out for d in place if (v := x + d) <= limit]
     return out

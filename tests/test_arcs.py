@@ -1,8 +1,5 @@
 import itertools
-import os
 import random
-import signal
-import threading
 from collections import Counter
 
 import pytest
@@ -14,6 +11,7 @@ from localarc.arcs import (
     LocalArcFamily,
     NotAnArc,
     NotVerified,
+    Offsets,
     TooLarge,
     TranslationLayout,
     VerifyReport,
@@ -47,6 +45,7 @@ from localarc.construct import (
     lift_prime,
     oval_partition,
 )
+from localarc.gf import make_field
 from localarc.plane import convert_line, make_plane
 from localarc.sdf import BASIS_5
 
@@ -927,7 +926,7 @@ def test_mixed_sizes_are_data_not_errors():
     assert verify_local_arc(fam).ok
 
 
-# -- sample_verify split across processes ---------------------------------
+# -- the sample stream and the exact verdict it defers to ------------------
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
@@ -942,44 +941,6 @@ def test_chunk_aligned_splits_of_the_stream_concatenate_to_it(seed):
                 _draw_pairs(seed, hi, lo)))
                 for lo, hi in zip(bounds, bounds[1:])]
             assert list(itertools.chain(*pieces)) == whole, cuts
-
-
-def test_shards_cover_the_stream_in_whole_chunks(monkeypatch):
-    for cpus in (1, 2, 3, 4):
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid, n=cpus: set(range(n)))
-        # none under _SHARD_MIN samples
-        assert len(arcs_mod._shards(2 * arcs_mod._SHARD_MIN - 1)) == 1
-        assert len(arcs_mod._shards(2 * arcs_mod._SHARD_MIN)) == min(cpus, 2)
-        monkeypatch.setattr(arcs_mod, "_SHARD_MIN", _CHUNK)
-        for samples in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK,
-                        10 * _CHUNK + 7):
-            shards = arcs_mod._shards(samples)
-            assert len(shards) == max(1, min(cpus, samples // _CHUNK))
-            los = [lo for lo, _, _ in shards]
-            assert los[0] == 0 and all(lo % _CHUNK == 0 for lo in los)
-            assert [hi for _, hi, _ in shards] == los[1:] + [samples]
-            assert all(lo < hi for lo, hi, _ in shards)
-            if len(shards) > 1:
-                cpus_used = [cpu for _, _, cpu in shards]
-                assert cpus_used == list(range(len(shards)))
-        monkeypatch.undo()
-    # one shard while another thread runs: fork would copy it half-way
-    monkeypatch.setattr(arcs_mod, "_SHARD_MIN", _CHUNK)
-    stop = threading.Event()
-    other = threading.Thread(target=stop.wait)
-    other.start()
-    try:
-        assert [lo for lo, _, _ in arcs_mod._shards(4 * _CHUNK)] == [0]
-    finally:
-        stop.set()
-        other.join(timeout=10)
-    assert not other.is_alive()
-
-
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def pair_at(fam, seed, t):
@@ -1000,7 +961,7 @@ def planted_overlaps(fam, seed, ts):
     return LocalArcFamily(fam.plane, sets, fam.k)
 
 
-SHARD_SAMPLES = 4 * _CHUNK
+SAMPLES = 4 * _CHUNK
 
 
 @pytest.fixture(scope="module")
@@ -1008,9 +969,15 @@ def case2_625():
     return case2_lift(case1_lift(column_pair_seed(5)), 2)
 
 
-def test_sample_verify_is_the_same_at_every_shard_count(force_shards,
-                                                        case2_625):
-    fam, samples = case2_625, SHARD_SAMPLES
+def translation_work(fam):
+    """W of the family's layout, _translation_work's first value."""
+    return arcs_mod._translation_work(fam.plane.field, fam.translation)[0]
+
+
+def test_sample_verify_is_the_same_at_every_shard_count(case2_625):
+    # the stream runs in this process alone: its report is the
+    # reference's, with the first failing pair where it was planted
+    fam, samples = case2_625, SAMPLES
     lift = lift_prime(generic_k_arc(2), BASIS_5, 1777)
     lay = lift.translation
     # family, seed, and the first failing pair (None: the family passes)
@@ -1018,11 +985,12 @@ def test_sample_verify_is_the_same_at_every_shard_count(force_shards,
         "translation, accepted": (fam, 3, None),
         "no layout, accepted": (
             LocalArcFamily(fam.plane, fam.sets, fam.k), 3, None),
-        # planted overlaps, first in shard 0, only in the last shard, and
-        # in two shards that are both later than shard 0 at n = 4
-        "shard 0": (planted_overlaps(fam, 3, (100, 1800)), 3, 100),
-        "last shard only": (planted_overlaps(fam, 3, (1700,)), 3, 1700),
-        "two shards": (planted_overlaps(fam, 3, (700, 1900)), 3, 700),
+        "planted in the first chunk": (
+            planted_overlaps(fam, 3, (100, 1800)), 3, 100),
+        "planted in the last chunk": (
+            planted_overlaps(fam, 3, (1700,)), 3, 1700),
+        "planted in two chunks": (
+            planted_overlaps(fam, 3, (700, 1900)), 3, 700),
         # the 2-arc lift at p = 1777 with one v offset too many, decided
         # through _bad_dv and named by the full treatment
         "translation, rejected": (LocalArcFamily.translates(
@@ -1034,189 +1002,31 @@ def test_sample_verify_is_the_same_at_every_shard_count(force_shards,
         assert expected.ok == (first is None), name
         if first is not None:
             assert expected.pairs_checked == first + 1, name
-        for n in (1, 2, 3, 4):
-            force_shards(n, samples)
-            rep = sample_verify(case, samples, seed=seed)
-            assert rep == expected, (name, n)
-            assert_no_children()
-
-
-class _Sets:
-    """A lazy sequence of sets that calls hook(i) before each lookup."""
-
-    def __init__(self, sets, hook):
-        self.sets, self.hook = sets, hook
-
-    def __len__(self):
-        return len(self.sets)
-
-    def __getitem__(self, i):
-        self.hook(i)
-        return self.sets[i]
-
-
-def no_such_set(i):
-    raise LookupError(f"set {i} is not there")
-
-
-def test_sample_verify_leaves_no_child_on_any_exit(force_shards, case2_625):
-    fam = case2_625
-    force_shards(3, SHARD_SAMPLES)
-    assert sample_verify(fam, SHARD_SAMPLES, seed=1).ok
-    assert_no_children()
-    bad = planted_overlaps(fam, 1, (1500,))
-    assert not sample_verify(bad, SHARD_SAMPLES, seed=1).ok
-    assert_no_children()
-    broken = LocalArcFamily(fam.plane, _Sets(fam.sets, no_such_set), fam.k)
-    with pytest.raises(LookupError, match="is not there"):
-        sample_verify(broken, SHARD_SAMPLES, seed=1)
-    assert_no_children()
-
-
-def test_sample_verify_gives_the_caller_its_cpu_mask_back(monkeypatch,
-                                                         case2_625):
-    # on the machine's own CPUs: the caller scans shard 0 pinned to one
-    # of them and is unpinned when the call returns or raises
-    mask = os.sched_getaffinity(0)
-    monkeypatch.setattr(arcs_mod, "_SHARD_MIN", _CHUNK)
-    assert len(arcs_mod._shards(SHARD_SAMPLES)) == min(len(mask), 4)
-    assert sample_verify(case2_625, SHARD_SAMPLES, seed=2).ok
-    assert os.sched_getaffinity(0) == mask
-    broken = LocalArcFamily(case2_625.plane,
-                            _Sets(case2_625.sets, no_such_set), 2)
-    with pytest.raises(LookupError, match="is not there"):
-        sample_verify(broken, SHARD_SAMPLES, seed=2)
-    assert os.sched_getaffinity(0) == mask
-    assert_no_children()
-
-
-def test_a_child_that_dies_has_its_shard_rerun_in_process(
-        force_shards, case2_625):
-    parent = os.getpid()
-    lookups = []
-
-    def die_in_a_child(i):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        lookups.append(i)
-
-    for ts in ((), (1800,), (600, 1300)):
-        plain = planted_overlaps(case2_625, 4, ts)
-        fam = LocalArcFamily(plain.plane, _Sets(plain.sets, die_in_a_child),
-                             plain.k)
-        expected = reference_sample_verify(plain, SHARD_SAMPLES, seed=4)
-        assert expected.ok == (not ts)
-        for n in (2, 4):
-            force_shards(n, SHARD_SAMPLES)
-            lookups.clear()
-            assert sample_verify(fam, SHARD_SAMPLES, seed=4) == expected
-            assert_no_children()
-            # this process looked up both sets of every pair up to the
-            # verdict: each dead child's shard ran here
-            assert len(lookups) == 2 * expected.pairs_checked, (ts, n)
-
-
-def test_a_child_reports_each_chunk_once_the_next_is_asked_for():
-    r, w = os.pipe()
-    hi = 3 * _CHUNK + 5
-    chunks = arcs_mod._reporting(w, _CHUNK, hi)
-    assert next(chunks) == (3 * _CHUNK, hi)
-    assert next(chunks) == (2 * _CHUNK, 3 * _CHUNK)
-    assert list(chunks) == [(_CHUNK, 2 * _CHUNK)]
-    os.close(w)
-    with os.fdopen(r, "rb") as fh:
-        assert fh.read() == b"%d -1\n%d -1\n%d -1\n" % (
-            3 * _CHUNK, 2 * _CHUNK, _CHUNK)
-
-
-def test_the_caller_scans_what_no_child_reported_passed():
-    samples = 5 * _CHUNK + 3
-    r, w = os.pipe()
-    os.set_blocking(r, False)
-    try:
-        # chunk 4 passed, chunk 2 fails at one of its pairs, chunk 3 has
-        # no report, and chunk 1's report is cut in two
-        os.write(w, b"%d -1\n%d %d\n%d" % (
-            4 * _CHUNK, 2 * _CHUNK, 2 * _CHUNK + 7, _CHUNK))
-        ranges = arcs_mod._unreported(samples, [r])
-        assert next(ranges) == (0, _CHUNK)
-        os.write(w, b" -1\n")
-        os.close(w)
-        assert list(ranges) == [
-            (2 * _CHUNK + 7, 2 * _CHUNK + 8), (2 * _CHUNK, 3 * _CHUNK),
-            (3 * _CHUNK, 4 * _CHUNK), (5 * _CHUNK, samples)]
-    finally:
-        os.close(r)
-
-
-def test_the_caller_leaves_the_chunks_children_passed(force_shards,
-                                                       monkeypatch,
-                                                       case2_625):
-    # the caller's first set lookup waits until every child has exited,
-    # so it then finds every child's report in the pipes
-    parent, pids, lookups = os.getpid(), [], []
-    fork_shard = arcs_mod._fork_shard
-
-    def recorded(*args):
-        child = fork_shard(*args)
-        pids.append(child[0])
-        return child
-
-    def wait_for_children(i):
-        if os.getpid() == parent:
-            if not lookups:
-                for pid in pids:
-                    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
-            lookups.append(i)
-
-    monkeypatch.setattr(arcs_mod, "_fork_shard", recorded)
-    for n in (2, 3, 4):
-        force_shards(n, SHARD_SAMPLES)
-        shards = arcs_mod._shards(SHARD_SAMPLES)
-        first_hi, last_lo = shards[0][1], shards[-1][0]
-        # none, or one failure in the lowest chunk of the last shard,
-        # which its child reports after passing the chunks above it
-        for ts in ((), (last_lo + 76,)):
-            plain = planted_overlaps(case2_625, 5, ts)
-            fam = LocalArcFamily(plain.plane,
-                                 _Sets(plain.sets, wait_for_children), 2)
-            expected = reference_sample_verify(plain, SHARD_SAMPLES, seed=5)
-            assert expected.pairs_checked == (ts[0] + 1 if ts
-                                              else SHARD_SAMPLES)
-            pids.clear()
-            lookups.clear()
-            assert sample_verify(fam, SHARD_SAMPLES, seed=5) == expected
-            assert_no_children()
-            # shard 0, and the failing pair re-run here
-            assert len(lookups) == 2 * first_hi + 2 * len(ts), (n, ts)
+        assert sample_verify(case, samples, seed=seed) == expected, name
 
 
 def test_sample_verify_takes_the_exact_verdict_when_it_costs_less(
-        force_shards, monkeypatch, case2_625):
+        monkeypatch, case2_625):
     fam = case2_625
-    # W = |U|^2 + |V|^2 + C(b+1, 2)·|U|^2·k^3 = 1 + 625 + 325·8
-    work = arcs_mod._translation_work(fam.translation)
+    # W = |U|^2 + |V|^2 + C(b+1, 2)·|U - U|·k^3 = 1 + 625 + 325·8: U is
+    # 0 alone (no place) and V one place of 25 offsets
+    work = translation_work(fam)
     assert work == 3226
-    calls = []
-    fork_shard = arcs_mod._fork_shard
+    scans = []
+    first_failure = arcs_mod._first_failure
 
     def recorded(*args):
-        calls.append(args[3:])
-        return fork_shard(*args)
+        scans.append(args[2])
+        return first_failure(*args)
 
-    monkeypatch.setattr(arcs_mod, "_fork_shard", recorded)
-    for samples in (SHARD_SAMPLES, work - 1, work, work + _CHUNK):
+    monkeypatch.setattr(arcs_mod, "_first_failure", recorded)
+    for samples in (SAMPLES, work - 1, work, work + _CHUNK):
         expected = reference_sample_verify(fam, samples, seed=6)
         assert expected == VerifyReport(True, "sample", samples, seed=6)
-        for n in (1, 2, 3, 4):
-            force_shards(n, samples)
-            calls.clear()
-            assert sample_verify(fam, samples, seed=6) == expected
-            assert_no_children()
-            # below W the stream runs in n shards; from W on no child is
-            # forked
-            assert len(calls) == (n - 1 if samples < work else 0), (
-                samples, n)
+        scans.clear()
+        assert sample_verify(fam, samples, seed=6) == expected
+        # below W the stream runs; from W on it does not
+        assert scans == ([samples] if samples < work else []), samples
 
 
 def test_sampled_pairs_below_the_exact_cost_build_no_set(monkeypatch,
@@ -1233,13 +1043,12 @@ def test_sampled_pairs_below_the_exact_cost_build_no_set(monkeypatch,
         return lookup(self, i)
 
     monkeypatch.setattr(_Translates, "__getitem__", counted)
-    assert arcs_mod._translation_work(case2_625.translation) > SHARD_SAMPLES
-    assert sample_verify(case2_625, SHARD_SAMPLES, seed=3).ok
+    assert translation_work(case2_625) > SAMPLES
+    assert sample_verify(case2_625, SAMPLES, seed=3).ok
     assert looked_up == []
 
 
-def test_a_rejected_cheap_translation_family_is_still_sampled(
-        force_shards):
+def test_a_rejected_cheap_translation_family_is_still_sampled():
     samples = 8 * _CHUNK
     wide = lift_prime(EX1_SEED, BASIS_5, 1031, check=False)
     lift = lift_prime(generic_k_arc(2), BASIS_5, 1777)
@@ -1247,15 +1056,61 @@ def test_a_rejected_cheap_translation_family_is_still_sampled(
     extra = LocalArcFamily.translates(
         lift.plane, TranslationLayout(lay.base, lay.us, lay.vs + (1767,)))
     for fam, seed in ((wide, 2), (wide, 23), (extra, 10)):
-        assert arcs_mod._translation_work(fam.translation) <= samples
+        assert translation_work(fam) <= samples
         assert not verify_local_arc(fam).ok
         # the report names the stream's first failing pair
         expected = reference_sample_verify(fam, samples, seed=seed)
         assert not expected.ok and expected.pairs_checked > _CHUNK
-        for n in (1, 2, 4):
-            force_shards(n, samples)
-            assert sample_verify(fam, samples, seed=seed) == expected
-            assert_no_children()
+        assert sample_verify(fam, samples, seed=seed) == expected
+
+
+class CountingField:
+    """A field's sub and add, counted."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def sub(self, a, b):
+        self.calls += 1
+        return self.f.sub(a, b)
+
+    def add(self, a, b):
+        self.calls += 1
+        return self.f.add(a, b)
+
+
+def test_translation_work_costs_at_most_the_limit():
+    f = make_field(10007)
+    arc = ((0, 0), (1, 1), (2, 4))
+    layouts = [
+        TranslationLayout((arc,), (0, 1, 5), tuple(range(0, 300, 3))),
+        TranslationLayout((arc, arc), (0,), Offsets(f.add, (
+            (0, 2), (0, 5, 10), (0, 50)))),
+        TranslationLayout((arc,), Offsets(f.add, ()), Offsets(f.add, ())),
+    ]
+    works = [arcs_mod._translation_work(f, lay)[0] for lay in layouts]
+    assert works == [
+        # |U|^2 + |V|^2 + C(2, 2)·|U - U|·k^3, U - U = {0, ±1, ±4, ±5}
+        9 + 100**2 + 7 * 27,
+        # sum of |P|^2, then |D|·|P - P| as the second and the third
+        # place join, and C(3, 2)·|U - U|·k^3
+        1 + (4 + 9 + 4) + (3 * 5 + 15 * 3) + 3 * 1 * 27,
+        1 + 1 + 27]
+    for lay, work in zip(layouts, works):
+        for limit in range(work + 2):
+            counted = CountingField(f)
+            got = arcs_mod._translation_work(counted, lay, limit)
+            assert (got is None) == (work > limit), (limit, work)
+            assert counted.calls <= min(work, limit)
+    # a large one-place V is found too costly before it is listed, and
+    # sampled without listing it
+    counted = CountingField(f)
+    huge = TranslationLayout((arc,), (0,), tuple(range(10_000)))
+    assert arcs_mod._translation_work(counted, huge, 10**6) is None
+    assert counted.calls == 1  # U - U = {0}
+    fam = LocalArcFamily.translates(make_plane(f, "planar"), huge)
+    assert sample_verify(fam, 100, seed=1) == reference_sample_verify(
+        fam, 100, seed=1)
 
 
 def test_sample_seeds_outside_the_stream_range_are_refused():

@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
+from test_arcs import reference_sample_verify
 
 import localarc
 import localarc.construct as construct_mod
@@ -17,6 +18,7 @@ import localarc.construct as construct_mod
 from localarc.arcs import (
     LocalArcFamily,
     NotVerified,
+    TranslationLayout,
     VerifyReport,
     family_to_dict,
     sample_verify,
@@ -366,8 +368,8 @@ def case2_even_over(seed, t, w):
     even = sorted(tw.mul(w, c) for c in range(p))
     g_vals = construct_mod._poly_values(
         tw, alpha, [(i, range(p * p) if i % 2 else even) for i in range(1, t)])
-    layout = construct_mod._sorted_layout(
-        construct_mod._affine_coords(seed), f_vals, g_vals)
+    layout = TranslationLayout(construct_mod._affine_coords(seed), f_vals,
+                               g_vals)
     return LocalArcFamily.translates(make_plane(tw, "planar"), layout,
                                      k=seed.k)
 
@@ -428,6 +430,7 @@ def test_case2_t3_exact_rejection_names_its_pair(p, pair):
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 def test_case2_t3_sampled_rejection_is_the_same_on_any_cpu_count(
         cpus, monkeypatch):
+    # the stream runs in this process whatever its CPU mask
     fam = case2_tower_alpha(5, 3)
     mask = os.sched_getaffinity(0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -435,6 +438,7 @@ def test_case2_t3_sampled_rejection_is_the_same_on_any_cpu_count(
         report = sample_verify(fam, 100_000, seed=0)
     finally:
         os.sched_setaffinity(0, mask)
+    assert report == reference_sample_verify(fam, 100_000, seed=0)
     assert not report.ok
     text = report.violation.describe(fam.plane)
     assert text.startswith("line ")

@@ -9,15 +9,21 @@ rejection's witness with the literal oracle on the two sets it names.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
+import time
 
 import pytest
 
 from localarc.arcs import (
     LocalArcFamily,
     NotAnArc,
+    Offsets,
     TranslationLayout,
+    _differences,
+    _twin,
     _verify_sweep,
     verify_local_arc,
     verify_local_arc_oracle,
@@ -34,7 +40,7 @@ from localarc.construct import (
     lift_prime,
     plan_lift,
 )
-from localarc.gf import is_prime
+from localarc.gf import is_prime, make_field
 from localarc.plane import make_plane
 from localarc.sdf import BASIS_5, SdfBasis
 
@@ -124,6 +130,28 @@ def test_wide_window_lift_names_the_pinned_collision():
     assert rep.violation.kind == "overlap"
     assert rep.violation.describe(fam.plane) == \
         "point (1,75) repeats in sets [2, 151]"
+
+
+def test_prime_lift_is_accepted_in_its_exact_checks():
+    # the 249,000-set lift of the benchmark: V is summed over its six
+    # digit places, and the count is C(2, 2)·|U - U|·|V - V| = 497·14,787
+    fam = lift_prime(generic_k_arc(3), BASIS_5, 10_000_019, check=False)
+    assert fam.n_sets == 249_000 and len(fam.translation.vs.places) == 6
+    rep = verify_local_arc(fam)
+    assert rep.ok and rep.mode == "translation"
+    assert rep.pairs_checked == 7_349_139
+
+
+def test_case2_at_p5_t4_is_accepted_exactly_in_a_time_box():
+    base = case1_lift(conic_partition_seed(5, 2), check=False)
+    fam = case2_lift(base, 4, check=False)
+    assert fam.n_sets == 781_250
+    start = time.perf_counter()
+    rep = verify_local_arc(fam)
+    elapsed = time.perf_counter() - start
+    assert rep.ok and rep.mode == "translation"
+    assert rep.pairs_checked == 4_296_875
+    assert elapsed < 2.0
 
 
 def test_lazy_prime_lift_lists_every_translate():
@@ -322,3 +350,91 @@ def test_lazy_set_is_the_translate_locate_names():
                                     for x, y in lay.base[si]))
                 assert fam.sets[i] == want
                 assert fam.sets[i - len(lay)] == want
+
+
+# ---------------------------------------------------------------------------
+# offsets that keep their places
+
+# a prime field, a Zech-table field, the digit engine and a tower
+PLACE_FIELDS = [make_field(7), make_field(5, 2), make_field(131, 3),
+                make_field(5, 4, tower=True)]
+
+
+@pytest.mark.parametrize("f", PLACE_FIELDS, ids=lambda f: f"q{f.q}")
+def test_offsets_sum_their_places_and_t_minus_t_summed_per_place(f):
+    rng = random.Random(f.q)
+    # prime offsets may be given as any integer: 8 is 1 in GF(7)
+    top = 3 * f.q if f.m == 1 else f.q
+    for _ in range(60):
+        places = []
+        for _ in range(rng.randint(0, 3)):
+            if places and rng.random() < 0.3:
+                place = rng.choice(places)  # sums collide
+            else:
+                place = rng.choices(range(top), k=rng.randint(1, 4))
+            places.append(place)
+        offs = Offsets(f.add, places)
+        assert offs.places == tuple(map(tuple, places))
+        assert list(offs) == sorted(
+            functools.reduce(f.add, combo, 0)
+            for combo in itertools.product(*places))
+        pairwise = {f.sub(w, u) for u in offs for w in offs}
+        assert _differences(f, offs, math.inf)[0] == pairwise
+        # the listing alone is one place: the pairwise set again
+        assert _differences(f, tuple(offs), math.inf)[0] == pairwise
+    none = Offsets(f.add, ())
+    assert none == (0,) and none.places == ()
+    assert _differences(f, none, math.inf) == ({0}, 1)
+
+
+def test_colliding_sums_and_non_canonical_offsets_are_twins():
+    f = make_field(7)
+    offs = Offsets(f.add, ((0, 1, 2), (0, 1)))
+    assert offs == (0, 1, 1, 2, 2, 3)
+    assert _twin(f.sub, offs) == (1, 2)
+    assert _differences(f, offs, math.inf)[0] == {0, 1, 2, 3, 4, 5, 6}
+    # test_repeated_offset_is_an_overlap: 8 and 1 are one element
+    assert _twin(f.sub, (0, 1, 8)) == (1, 2)
+    assert _differences(f, (0, 1, 8), math.inf) == ({0, 1, 6}, 9)
+    assert _twin(f.sub, (3, 5, 4, 5, 3)) == (0, 4)
+
+
+def _random_places_layout(rng):
+    """Translates of random affine sets by offsets of 1-3 random places
+    on each side."""
+    plane = make_plane(rng.choice([5, 7, 9, 11, 25]))
+    f, q = plane.field, plane.q
+    base = tuple(tuple((rng.randrange(q), rng.randrange(q))
+                       for _ in range(rng.randint(1, 3)))
+                 for _ in range(rng.randint(1, 3)))
+
+    def offsets():
+        return Offsets(f.add, (rng.sample(range(q), rng.randint(1, 3))
+                               for _ in range(rng.randint(1, 3))))
+
+    return LocalArcFamily.translates(
+        plane, TranslationLayout(base, offsets(), offsets()))
+
+
+def test_places_verify_as_their_listing_does():
+    """A lift with places and the same layout with plain tuples give one
+    report: verdict, named pair, witness and pairs_checked."""
+    rng = random.Random(0x91ACE)
+    makers = [_random_case_lift, _random_prime_lift, _random_places_layout]
+    outcomes = []
+    while len(outcomes) < 300:
+        try:
+            fam = rng.choice(makers)(rng)
+        except (NonAffineSeed, NotAnArc):
+            continue
+        if fam is None:
+            continue
+        lay = fam.translation
+        plain = LocalArcFamily.translates(fam.plane, TranslationLayout(
+            lay.base, tuple(lay.us), tuple(lay.vs)), k=fam.k)
+        rep = verify_local_arc(fam)
+        assert rep == verify_local_arc(plain)
+        outcomes.append("ok" if rep.ok else rep.violation.kind)
+    assert outcomes.count("ok") >= 50
+    assert outcomes.count("overlap") >= 20
+    assert outcomes.count("collinear") >= 20
