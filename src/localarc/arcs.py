@@ -488,26 +488,40 @@ def _verify_sweep(family: LocalArcFamily) -> VerifyReport:
 
 def _differences(f, offsets, limit):
     """(T - T, work) for the offsets T, as a set; None once the work would
-    pass limit, before it is done.
+    pass limit, having done at most limit of it.
 
-    T - T is the sum over T's places of P - P: each P - P is listed
-    pairwise, |P|^2 subtractions, and added to the sum D of those before
-    it, |D|·|P - P| additions.  Offsets of at most one place are listed
-    pairwise, |T|^2 subtractions."""
-    places = getattr(offsets, "places", ())
-    if len(places) < 2:
-        places = (offsets,)
-    work = sum(len(place) ** 2 for place in places)
-    if work > limit:
-        return None
-    total = None
-    for place in places:
-        diffs = {f.sub(w, u) for u in place for w in place}
+    T - T is the sum over T's places of P - P; a plain tuple, or Offsets
+    of at most one place, is one place.  A place P, in its listed order,
+    costs |P| - 1 subtractions to test whether it is an arithmetic
+    progression a + i·s.  If it is, P - P is {i·s : |i| < |P|}, 2(|P| - 1)
+    additions and negations; if not, it is listed pairwise, |P|^2
+    subtractions.  Each P - P is added to the sum D of those before it,
+    |D|·|P - P| additions."""
+    add, sub, neg = f.add, f.sub, f.neg
+    work, total = 0, None
+    for place in getattr(offsets, "places", None) or (offsets,):
+        n = len(place)
+        steps = max(n - 1, 0)
+        work += steps
+        if work > limit:
+            return None
+        s = sub(place[1], place[0]) if steps else 0
+        ap = all(sub(w, u) == s for u, w in zip(place[1:], place[2:]))
+        work += 2 * steps if ap else n * n
+        if work > limit:
+            return None
+        if ap:
+            diffs, x = ({0} if n else set()), 0
+            for _ in range(steps):
+                x = add(x, s)
+                diffs.update((x, neg(x)))
+        else:
+            diffs = {sub(w, u) for u in place for w in place}
         if total is not None:
             work += len(total) * len(diffs)
             if work > limit:
                 return None
-            diffs = {f.add(d, e) for d in total for e in diffs}
+            diffs = {add(d, e) for d in total for e in diffs}
         total = diffs
     return total, work
 
@@ -575,18 +589,34 @@ def _bad_dv(f, base_i, secants_i, base_j, secants_j, d_u):
     bad = set()
     every = False
     for x, y in base_j:
-        x = add(x, d_u)
+        if d_u:
+            x = add(x, d_u)
         every = every or x in vert_i
         for a, c in flat_i:
             e = sub(x, a)
             bad.add(add(sub(mul(e, e), y), c))
     for x, y in base_i:
-        x = sub(x, d_u)
+        if d_u:
+            x = sub(x, d_u)
         every = every or x in vert_j
         for a, c in flat_j:
             e = sub(x, a)
             bad.add(sub(sub(y, c), mul(e, e)))
     return every, bad
+
+
+def _row_field(f, base, secants, du):
+    """GF(p), p the characteristic of f, when every base coordinate,
+    secant parameter and element of U - U is below p, else f.  On every
+    engine the encodings 0..p-1 are the prime subfield, where f's add,
+    sub, neg and mul are integer arithmetic mod p (Lidl and Niederreiter,
+    Finite Fields, 2.1)."""
+    p = f.p
+    small = (all(d < p for d in du)
+             and all(c < p for s in base for pt in s for c in pt)
+             and all(c < p for flat, vertical in secants
+                     for c in itertools.chain(vertical, *flat)))
+    return make_field(p) if small else f
 
 
 def _verify_translates(family: LocalArcFamily,
@@ -601,10 +631,16 @@ def _verify_translates(family: LocalArcFamily,
     delta = 0) and every base pair i <= j at every other delta decides
     the family; pairs_checked counts these (i, j, delta) checks.  The
     work is W (_translation_work): U - U and V - V summed over the
-    places of the offsets, and C(b+1, 2)·|U-U| rows of about k^3 field
+    places of the offsets, a place that is an arithmetic progression
+    listed in linear time, and C(b+1, 2)·|U-U| rows of about k^3 field
     operations, below the C(n, 2) point pairs of a sweep over the
     n = b·|U|·|V|·k points.  When W passes `limit` this returns None,
     having done at most `limit` of it.
+
+    The overlap scan and the rows run in GF(p) when the base, its
+    secants and U - U lie in it (_row_field; cases 1 and 3), where each
+    value below p is the integer f gives; the offsets, T - T and the
+    naming of a rejection stay in f.
 
     Overlaps are looked for first, over all of them, as the sweep does.
     For arcs S_i and S_j + delta that are disjoint, three collinear
@@ -651,12 +687,17 @@ def _verify_translates(family: LocalArcFamily,
         return VerifyReport(False, "translation", si + 1,
                             _named_violation(family, [si]))
 
+    g = _row_field(f, base, secants, du)
+    g_sub = g.sub
     for si in range(b):
         for sj in range(si, b):
             for xi, yi in base[si]:
                 for xj, yj in base[sj]:
-                    d_u, d_v = sub(xi, xj), sub(yi, yj)
-                    if d_u in du and d_v in dv and (si != sj or d_u or d_v):
+                    d_u = g_sub(xi, xj)
+                    if d_u not in du:
+                        continue
+                    d_v = g_sub(yi, yj)
+                    if d_v in dv and (si != sj or d_u or d_v):
                         return reject(b, si, sj,
                                       _first_pair(sub, layout.us, {d_u})[1],
                                       _first_pair(sub, layout.vs, {d_v})[1])
@@ -666,7 +707,7 @@ def _verify_translates(family: LocalArcFamily,
         for sj in range(si, b):
             start, failing = done, {}  # d_u -> the dv that fail with it
             for d_u in du:
-                every, bad = _bad_dv(f, base[si], secants[si],
+                every, bad = _bad_dv(g, base[si], secants[si],
                                      base[sj], secants[sj], d_u)
                 # (i, i, 0) is the single-set check made above
                 skip = si == sj and d_u == 0
@@ -892,10 +933,11 @@ def _translation_work(f, layout: TranslationLayout, limit: float = math.inf):
     is seen to pass limit, having done at most `limit` of it.
 
     W is the work _verify_translates does: listing U - U and V - V
-    (_differences: |T|^2 for offsets of at most one place, and for more
-    the sum of |P|^2 over places P and of |D|·|P - P| over the partial
-    sums D), plus C(b+1, 2)·|U - U|·k^3 for its rows, k the largest of
-    its b base sets."""
+    (_differences: for each place P, |P| - 1 subtractions to test for an
+    arithmetic progression, then 2(|P| - 1) additions and negations for
+    one and |P|^2 subtractions for any other place, and |D|·|P - P|
+    additions over the partial sums D), plus C(b+1, 2)·|U - U|·k^3 for
+    its rows, in GF(p) or f alike, k the largest of its b base sets."""
     got_u = _differences(f, layout.us, limit)
     got_v = got_u and _differences(f, layout.vs, limit - got_u[1])
     if not got_v:

@@ -39,6 +39,7 @@ from localarc.construct import (
     KTooLarge,
     case1_lift,
     case2_lift,
+    case3_lift,
     column_pair_seed,
     conic_partition_seed,
     generic_k_arc,
@@ -1008,10 +1009,11 @@ def test_sample_verify_is_the_same_at_every_shard_count(case2_625):
 def test_sample_verify_takes_the_exact_verdict_when_it_costs_less(
         monkeypatch, case2_625):
     fam = case2_625
-    # W = |U|^2 + |V|^2 + C(b+1, 2)·|U - U|·k^3 = 1 + 625 + 325·8: U is
-    # 0 alone (no place) and V one place of 25 offsets
+    # W = (|V| - 1) + |V|^2 + C(b+1, 2)·|U - U|·k^3 = 24 + 625 + 325·8:
+    # U is 0 alone (no place, nothing to list) and V one place of 25
+    # offsets, no arithmetic progression in its listed order
     work = translation_work(fam)
-    assert work == 3226
+    assert work == 3249
     scans = []
     first_failure = arcs_mod._first_failure
 
@@ -1033,7 +1035,7 @@ def test_sampled_pairs_below_the_exact_cost_build_no_set(monkeypatch,
                                                          case2_625):
     # the accepted case-1 lift of
     # test_sampled_translation_pairs_build_sets_only_to_name_a_violation
-    # takes the exact verdict at 2,000 samples (W = 242); below W the
+    # takes the exact verdict at 2,000 samples (W = 150); below W the
     # sampled translation path builds no set either
     looked_up = []
     lookup = _Translates.__getitem__
@@ -1065,10 +1067,11 @@ def test_a_rejected_cheap_translation_family_is_still_sampled():
 
 
 class CountingField:
-    """A field's sub and add, counted."""
+    """A field's sub, add and neg, counted in calls, and its mul in
+    muls."""
 
     def __init__(self, f):
-        self.f, self.calls = f, 0
+        self.f, self.calls, self.muls = f, 0, 0
 
     def sub(self, a, b):
         self.calls += 1
@@ -1078,6 +1081,14 @@ class CountingField:
         self.calls += 1
         return self.f.add(a, b)
 
+    def neg(self, a):
+        self.calls += 1
+        return self.f.neg(a)
+
+    def mul(self, a, b):
+        self.muls += 1
+        return self.f.mul(a, b)
+
 
 def test_translation_work_costs_at_most_the_limit():
     f = make_field(10007)
@@ -1085,32 +1096,69 @@ def test_translation_work_costs_at_most_the_limit():
     layouts = [
         TranslationLayout((arc,), (0, 1, 5), tuple(range(0, 300, 3))),
         TranslationLayout((arc, arc), (0,), Offsets(f.add, (
-            (0, 2), (0, 5, 10), (0, 50)))),
+            (0, 2), (0, 5, 11), (0, 50)))),
         TranslationLayout((arc,), Offsets(f.add, ()), Offsets(f.add, ())),
     ]
     works = [arcs_mod._translation_work(f, lay)[0] for lay in layouts]
     assert works == [
-        # |U|^2 + |V|^2 + C(2, 2)·|U - U|·k^3, U - U = {0, ±1, ±4, ±5}
-        9 + 100**2 + 7 * 27,
-        # sum of |P|^2, then |D|·|P - P| as the second and the third
-        # place join, and C(3, 2)·|U - U|·k^3
-        1 + (4 + 9 + 4) + (3 * 5 + 15 * 3) + 3 * 1 * 27,
-        1 + 1 + 27]
+        # U is no progression: 2 subtractions to see it, |U|^2 to list
+        # U - U = {0, ±1, ±4, ±5}; V is one: 99 subtractions, 2·99
+        # additions and negations; and C(2, 2)·|U - U|·k^3
+        (2 + 9) + (99 + 2 * 99) + 7 * 27,
+        # per place 1 + 2, 2 + 9 (no progression) and 1 + 2, then
+        # |D|·|P - P| as the second and the third place join, and
+        # C(3, 2)·|U - U|·k^3
+        0 + (3 + 11 + 3) + (3 * 7 + 21 * 3) + 3 * 1 * 27,
+        0 + 0 + 27]
     for lay, work in zip(layouts, works):
         for limit in range(work + 2):
             counted = CountingField(f)
             got = arcs_mod._translation_work(counted, lay, limit)
             assert (got is None) == (work > limit), (limit, work)
             assert counted.calls <= min(work, limit)
-    # a large one-place V is found too costly before it is listed, and
-    # sampled without listing it
+    # a large V that is no progression is found too costly before it is
+    # listed, and sampled without listing it
     counted = CountingField(f)
-    huge = TranslationLayout((arc,), (0,), tuple(range(10_000)))
+    huge = TranslationLayout((arc,), (0,), (0,) + tuple(range(2, 10_001)))
     assert arcs_mod._translation_work(counted, huge, 10**6) is None
-    assert counted.calls == 1  # U - U = {0}
+    assert counted.calls == 2  # steps 2 and 1: no progression
     fam = LocalArcFamily.translates(make_plane(f, "planar"), huge)
     assert sample_verify(fam, 100, seed=1) == reference_sample_verify(
         fam, 100, seed=1)
+    # as a progression it is cheap: 9,999 subtractions, 2·9,999
+    # additions and negations, and one row
+    cheap = TranslationLayout((arc,), (0,), tuple(range(10_000)))
+    assert arcs_mod._translation_work(f, cheap)[0] == 3 * 9_999 + 27
+
+
+def test_case3_rows_over_gf131e3_make_no_extension_mul(monkeypatch):
+    """The bench's case-3 lift decides its rows in GF(131): no GF(131^3)
+    multiplication, the row field's muls counted by CountingField."""
+    big = make_field(131, 3)
+    fam = case3_lift(conic_partition_seed(131, 2), 3, 8.0, 6.0,
+                     alphabet=(1, 3), check=False)
+    assert fam.plane.field is big
+    big_mul, big_muls = big.mul, []
+    bad_dv, rows = arcs_mod._bad_dv, []
+
+    def counted_big_mul(a, b):
+        big_muls.append((a, b))
+        return big_mul(a, b)
+
+    def counted_rows(f, *args):
+        # each row keeps its field's counts and the GF(131^3) count so far
+        rows.append((CountingField(f), len(big_muls)))
+        return bad_dv(rows[-1][0], *args)
+
+    monkeypatch.setattr(big, "mul", counted_big_mul)
+    monkeypatch.setattr(arcs_mod, "_bad_dv", counted_rows)
+    rep = verify_local_arc(fam)
+    assert rep.ok and rep.pairs_checked == 842_985
+    # C(66, 2) rows of 2k·C(k, 2) = 4 multiplications, all in GF(131)
+    assert len(rows) == 2145
+    assert {counted.f for counted, _ in rows} == {make_field(131)}
+    assert sum(counted.muls for counted, _ in rows) == 4 * 2145
+    assert {made for _, made in rows} == {len(big_muls)}
 
 
 def test_sample_seeds_outside_the_stream_range_are_refused():

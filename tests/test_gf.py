@@ -226,6 +226,22 @@ def test_digit_engine_agrees_with_table_engine_on_random_pairs(p, m, tower):
             assert ft.inv(a) == fd.inv(a)
 
 
+# a prime field, Zech tables, the digit engine and a tower
+@pytest.mark.parametrize("p,m,tower", [
+    (7, 1, False), (5, 2, False), (11, 2, False), (131, 3, False),
+    (5, 4, True)])
+def test_encodings_below_p_are_the_prime_subfield(p, m, tower):
+    f = make_field(p, m, tower)
+    rng = random.Random(p * 10 + m)
+    pairs = [(a, b) for a in range(p) for b in range(p)] if p < 12 else [
+        (rng.randrange(p), rng.randrange(p)) for _ in range(5_000)]
+    for a, b in pairs:
+        assert f.add(a, b) == (a + b) % p
+        assert f.sub(a, b) == (a - b) % p
+        assert f.mul(a, b) == a * b % p
+        assert f.neg(a) == -a % p
+
+
 @pytest.mark.parametrize("name", sorted(FIELDS))
 @settings(deadline=None, max_examples=60)
 @given(data=st.data())

@@ -17,12 +17,15 @@ import time
 
 import pytest
 
+import localarc.arcs as arcs_mod
 from localarc.arcs import (
     LocalArcFamily,
     NotAnArc,
     Offsets,
     TranslationLayout,
+    _bad_dv,
     _differences,
+    _secant_tables,
     _twin,
     _verify_sweep,
     verify_local_arc,
@@ -384,7 +387,7 @@ def test_offsets_sum_their_places_and_t_minus_t_summed_per_place(f):
         assert _differences(f, tuple(offs), math.inf)[0] == pairwise
     none = Offsets(f.add, ())
     assert none == (0,) and none.places == ()
-    assert _differences(f, none, math.inf) == ({0}, 1)
+    assert _differences(f, none, math.inf) == ({0}, 0)
 
 
 def test_colliding_sums_and_non_canonical_offsets_are_twins():
@@ -395,7 +398,8 @@ def test_colliding_sums_and_non_canonical_offsets_are_twins():
     assert _differences(f, offs, math.inf)[0] == {0, 1, 2, 3, 4, 5, 6}
     # test_repeated_offset_is_an_overlap: 8 and 1 are one element
     assert _twin(f.sub, (0, 1, 8)) == (1, 2)
-    assert _differences(f, (0, 1, 8), math.inf) == ({0, 1, 6}, 9)
+    # not a progression: two subtractions to see it, then nine
+    assert _differences(f, (0, 1, 8), math.inf) == ({0, 1, 6}, 2 + 9)
     assert _twin(f.sub, (3, 5, 4, 5, 3)) == (0, 4)
 
 
@@ -438,3 +442,138 @@ def test_places_verify_as_their_listing_does():
     assert outcomes.count("ok") >= 50
     assert outcomes.count("overlap") >= 20
     assert outcomes.count("collinear") >= 20
+
+
+# ---------------------------------------------------------------------------
+# progression places and subfield rows
+
+def _progression(f, a, s, n):
+    """a, a + s, ..., a + (n - 1)·s over f, in that order."""
+    out = []
+    for _ in range(n):
+        out.append(a)
+        a = f.add(a, s)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("f", PLACE_FIELDS, ids=lambda f: f"q{f.q}")
+def test_progression_places_list_their_differences_in_linear_time(f):
+    rng = random.Random(f.q + 1)
+    a, s = rng.randrange(1, f.q), rng.randrange(1, f.q)
+    places = {
+        "step 0": (a, a, a),
+        "wraps": _progression(f, a, s, f.p + 3),
+        "descending": _progression(f, a, f.neg(s), 5),
+        "length 1": (a,),
+        "length 2": (a, s),
+        "none": (),
+    }
+    for name, place in places.items():
+        n = len(place)
+        pairwise = {f.sub(w, u) for u in place for w in place}
+        # |P| - 1 subtractions find the step, 2(|P| - 1) list i·s
+        assert _differences(f, place, math.inf) == (
+            pairwise, 3 * max(n - 1, 0)), name
+    assert _differences(f, places["step 0"], math.inf)[0] == {0}
+    assert len(_differences(f, places["wraps"], math.inf)[0]) == f.p
+    # a place that is not a progression in its listed order is listed
+    # pairwise, after |P| - 1 subtractions at most
+    other = (a, f.add(a, s), f.add(a, f.add(s, 1)), s)
+    pairwise = {f.sub(w, u) for u in other for w in other}
+    assert _differences(f, other, math.inf) == (pairwise, 3 + 16)
+    # Offsets of progression and other places sum their P - P
+    mixed = Offsets(f.add, (places["wraps"], other, places["length 2"]))
+    diffs, work = _differences(f, mixed, math.inf)
+    assert diffs == {f.sub(w, u) for u in mixed for w in mixed}
+    wraps = _differences(f, places["wraps"], math.inf)[0]
+    joined = {f.add(d, e) for d in wraps for e in pairwise}
+    two = _differences(f, places["length 2"], math.inf)[0]
+    assert work == (3 * (f.p + 2) + (3 + 16) + len(wraps) * len(pairwise)
+                    + 3 + len(joined) * len(two))
+
+
+def _subfield_layout(rng, f):
+    """Translates over f of random sets with coordinates below p, by U
+    with U - U below p and any V; a third get a planted overlap, a third
+    a planted dv that _bad_dv flags, and one in five an offset of U
+    outside GF(p)."""
+    p, q = f.p, f.q
+    base = tuple(tuple((rng.randrange(p), rng.randrange(p))
+                       for _ in range(rng.randint(1, 3)))
+                 for _ in range(rng.randint(1, 3)))
+    us = tuple(rng.sample(range(p), rng.randint(1, 3)))
+    vs = tuple(rng.sample(range(q), rng.randint(1, 3)))
+    si, sj = rng.randrange(len(base)), rng.randrange(len(base))
+    plant = rng.randrange(3)
+    if plant == 0:  # S_i and S_j moved by (xi - xj, yi - yj) share a point
+        (xi, yi), (xj, yj) = rng.choice(base[si]), rng.choice(base[sj])
+        us += (f.add(us[0], f.sub(xi, xj)),)
+        vs += (f.add(vs[0], f.sub(yi, yj)),)
+    elif plant == 1:
+        tables = _secant_tables(make_plane(f, "planar"), base)
+        if tables[si] and tables[sj]:
+            d_u = f.sub(us[-1], us[0])
+            _, bad = _bad_dv(f, base[si], tables[si], base[sj], tables[sj],
+                             d_u)
+            if bad:
+                vs += (f.add(vs[0], rng.choice(sorted(bad))),)
+    if rng.random() < 0.2:
+        us += (rng.randrange(p, q),)
+    return LocalArcFamily.translates(make_plane(f, "planar"),
+                                     TranslationLayout(base, us, vs))
+
+
+def _rows_in_both_fields(monkeypatch, fam):
+    """(report, report with the rows forced into the family's field,
+    whether the first decided its rows in the prime subfield)."""
+    row_field = arcs_mod._row_field
+    taken = []
+
+    def spy(f, *args):
+        g = row_field(f, *args)
+        taken.append(g is not f)
+        return g
+
+    monkeypatch.setattr(arcs_mod, "_row_field", spy)
+    rep = verify_local_arc(fam)
+    monkeypatch.setattr(arcs_mod, "_row_field", lambda f, *args: f)
+    ref = verify_local_arc(fam)
+    monkeypatch.setattr(arcs_mod, "_row_field", row_field)
+    return rep, ref, taken == [True]
+
+
+def test_subfield_rows_report_what_the_family_field_rows_do(monkeypatch):
+    """Verdict, pairs_checked, named sets and witness are the same with
+    the rows in GF(p) as in the family's own field."""
+    rng = random.Random(0x5B0F)
+    fields = [make_field(5, 2), make_field(7, 2), make_field(3, 3),
+              make_field(5, 3), make_field(5, 4, tower=True)]
+    outcomes, family_field = [], 0
+    for i in range(600):
+        fam = _subfield_layout(rng, fields[i % len(fields)])
+        rep, ref, taken = _rows_in_both_fields(monkeypatch, fam)
+        assert rep == ref, (fam.translation.base, fam.translation.us,
+                            fam.translation.vs)
+        # a rejection before the scan (a twin offset, or a base set that
+        # is no arc) never asks for the row field
+        if taken:
+            outcomes.append("ok" if rep.ok else rep.violation.kind)
+        family_field += fam.translation.us[-1] >= fam.plane.field.p
+    assert family_field >= 60
+    assert outcomes.count("ok") >= 50
+    assert outcomes.count("overlap") >= 50
+    assert outcomes.count("collinear") >= 40
+    # the lifts from a prime field take the subfield too
+    for fam in (case1_lift(conic_partition_seed(11, 2), check=False),
+                case3_lift(conic_partition_seed(23, 2), 3, 8.0, 6.0,
+                           alphabet=(1, 3), check=False)):
+        rep, ref, taken = _rows_in_both_fields(monkeypatch, fam)
+        assert rep == ref and rep.ok and taken
+
+
+def test_case2_rows_stay_in_the_family_field(monkeypatch):
+    fam = case2_lift(case1_lift(conic_partition_seed(5, 2), check=False), 2,
+                     check=False)
+    assert max(c for s in fam.translation.base for pt in s for c in pt) >= 5
+    rep, ref, taken = _rows_in_both_fields(monkeypatch, fam)
+    assert rep == ref and not taken
